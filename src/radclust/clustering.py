@@ -1,12 +1,21 @@
 """Mask-based cluster labeling and size-ranked cluster tables.
 
-Labeling walks the node indices once.  Each still-unlabeled node becomes the
-seed of a fresh cluster and its row of the power matrix becomes the mask; any
-later unlabeled node whose own row shares at least one set bit with the mask
-joins the cluster.  Because the power matrix covers at least ``floor(n / 2)``
-hops, two nodes of the same radius-graph component always see each other
-through a common mid-path node, and nodes of different components never
-overlap, so the produced partition is exactly the connected components.
+The paper labels by a mask scan: walk the node indices once; each
+still-unlabeled node becomes the seed of a fresh cluster, its row of the
+power matrix becomes the mask, and any later unlabeled node whose own row
+shares at least one set bit with the mask joins the cluster.  Because the
+power matrix covers at least ``floor(n / 2)`` hops, two nodes of the same
+radius-graph component always see each other through a common mid-path
+node, and nodes of different components never overlap, so rows i and j
+share a set bit exactly when i and j are in the same component and the
+produced partition is exactly the connected components.
+
+``cluster_labels`` computes the same labels without the scan.  For each
+column t, ``first[t]`` is the lowest row with bit t set.  The lowest row
+sharing a bit with row j is then ``seed[j] = min(first[t])`` over the set
+bits t of row j.  By the midpoint argument above that is the lowest index
+of j's component: the very seed whose mask labels j in the scan.  Ranking
+the distinct seeds densely gives the scan's labels.
 
 Label numbers are dense, starting at 1, in order of each cluster's
 lowest-index node.  ``connected_components_oracle`` computes the same
@@ -112,30 +121,21 @@ class ClusterTable:
 def cluster_labels(g: BinaryMatrix) -> LabelVector:
     """Assign cluster labels from the (binarized) power matrix ``g``.
 
-    Scans nodes in index order; an unlabeled node i opens cluster c, its row
-    becomes the mask, and every unlabeled node j > i whose row ANDs with the
-    mask to a non-zero vector gets label c.  Nodes j < i are already labeled
-    by the time i is an unlabeled seed, so the forward scan drops nothing.
+    Each node is labeled by the lowest row that shares a set bit with its
+    own row, which is the seed the paper's mask scan would label it from;
+    distinct seeds are numbered 1, 2, ... in index order (see the module
+    docstring).
     """
     bits = g.bits
     if not bits.any(axis=1).all():
         raise ValueError("power matrix has an all-zero row")
     n = g.n
-    labels = np.zeros(n, dtype=np.int64)
-    c = 0
-    for i in range(n):
-        if labels[i] != 0:
-            continue
-        c += 1
-        labels[i] = c
-        mask = bits[i]
-        open_js = np.flatnonzero(labels[i + 1 :] == 0) + (i + 1)
-        if open_js.size:
-            hits = (bits[open_js] & mask).any(axis=1)
-            labels[open_js[hits]] = c
-    # Every index is either a seed or labeled by an earlier seed.
-    assert not (labels == 0).any(), "unlabeled node survived the scan"
-    return LabelVector(labels)
+    # Row indices and the fill value n fit the narrowest unsigned dtype,
+    # which keeps the n x n temporary of the next line small.
+    first = bits.argmax(axis=0).astype(np.min_scalar_type(n))
+    seed = np.where(bits, first, first.dtype.type(n)).min(axis=1)
+    _, labels = np.unique(seed, return_inverse=True)
+    return LabelVector(labels + 1)
 
 
 def connected_components_oracle(a: BinaryMatrix) -> LabelVector:

@@ -8,6 +8,17 @@ matrix; powers of such a matrix then encode "reachable within that many hops
 or fewer", the property the labeling step depends on.
 
 Dimension is arbitrary (>= 1) and must be uniform within a point set.
+
+Distances are computed as ``sqrt(sum(diff**2))`` in float64, which is only
+trustworthy while no square underflows or overflows.  The radius and every
+nonzero coordinate magnitude must therefore lie in the safe range
+``[SCALE_MIN, SCALE_MAX] = [2**-500, 2**500]``; coordinates may also be
+exactly 0.  Inside that range a nonzero coordinate difference is at least
+``2**-552``, every sum of squares stays below ``d * 2**1002`` (finite for
+any d below ``2**22``), and a square that rounds into the subnormal range
+is off by less than ``2**-1074``, under ``2**-74`` of ``r**2``: less than
+the rounding every sum of squares already carries.  Inputs outside the
+range are rejected with ``ValueError`` instead of being clustered wrongly.
 """
 
 from __future__ import annotations
@@ -26,9 +37,21 @@ __all__ = [
     "ClusteringConfig",
     "euclidean_distance",
     "build_adjacency",
+    "SCALE_MIN",
+    "SCALE_MAX",
 ]
 
 NodeId = Union[int, str]
+
+# Safe magnitudes for the radius and nonzero coordinates (module docstring).
+SCALE_MIN = 2.0**-500
+SCALE_MAX = 2.0**500
+_SAFE_RANGE = f"[2**-500, 2**500] ({SCALE_MIN:.3g} to {SCALE_MAX:.3g})"
+
+# Elements of the (rows, N, d) float64 difference block per adjacency chunk:
+# 512 KiB per temporary, small enough to stay in cache, unless a single row
+# (N x d) is larger.
+_CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,7 +148,10 @@ class PointSet:
 
 @dataclass(frozen=True)
 class ClusteringConfig:
-    """Clustering parameters: the neighbor-search radius ``r``."""
+    """Clustering parameters: the neighbor-search radius ``r``.
+
+    ``r`` must lie in ``[SCALE_MIN, SCALE_MAX]`` (see the module docstring).
+    """
 
     radius: float
 
@@ -133,6 +159,10 @@ class ClusteringConfig:
         r = float(self.radius)
         if not np.isfinite(r) or r <= 0.0:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not SCALE_MIN <= r <= SCALE_MAX:
+            raise ValueError(
+                f"radius {self.radius} is outside the safe range {_SAFE_RANGE}"
+            )
         object.__setattr__(self, "radius", r)
 
 
@@ -149,7 +179,25 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
     """N x N adjacency: entry (i, j) is 1 iff distance(p_i, p_j) < r.
 
     Symmetric by construction, diagonal all ones (0 < r always holds).
+    Rows are filled in chunks so the float64 temporaries stay bounded by
+    ``_CHUNK_ELEMENTS`` (or one row, if larger) instead of growing as
+    N x N x d; each chunk uses the same distance expression, so the result
+    is bit-identical.  Raises ``ValueError`` for a nonzero coordinate
+    magnitude outside ``[SCALE_MIN, SCALE_MAX]``.
     """
-    diff = ps.coords[:, None, :] - ps.coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
-    return BinaryMatrix(dist < cfg.radius)
+    coords = ps.coords
+    mag = np.abs(coords)
+    bad = (mag != 0.0) & ((mag < SCALE_MIN) | (mag > SCALE_MAX))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ValueError(
+            f"point {ps.ids[i]!r}: coordinate {float(coords[i, k])!r} is outside "
+            f"the safe magnitude range 0 or {_SAFE_RANGE}"
+        )
+    n, d = coords.shape
+    rows = max(1, _CHUNK_ELEMENTS // (n * d))
+    bits = np.empty((n, n), dtype=bool)
+    for start in range(0, n, rows):
+        diff = coords[start : start + rows, None, :] - coords[None, :, :]
+        bits[start : start + rows] = np.sqrt((diff**2).sum(axis=-1)) < cfg.radius
+    return BinaryMatrix(bits)

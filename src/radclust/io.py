@@ -63,7 +63,8 @@ def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return [
             (line_no, row)
             for line_no, row in enumerate(csv.reader(fh), start=1)

@@ -5,6 +5,13 @@ is AND.  For 0/1 matrices this has exactly the same support as the integer
 product, so a matrix may be binarized after every multiplication instead of
 once at the end, which keeps entries from blowing up at large exponents.
 
+The integer product is computed by a float32 BLAS product.  This is exact:
+every entry is a sum of non-negative 0/1 terms, so every partial sum is an
+integer no larger than ``n``, and integers below ``2**24`` are represented
+exactly in float32 whatever the summation order.  A sum is therefore zero
+exactly when every term is, and binarizing the float result reproduces the
+semiring product bit for bit.
+
 Raising an adjacency matrix that carries an all-ones diagonal to the power
 ``e`` yields the "reachable in at most ``e`` hops" relation.  The exponent
 needed to connect the two ends of the worst-case node chain is
@@ -13,6 +20,12 @@ fast path squares the matrix ``m = ceil(log2(k))`` times, reaching the
 exponent ``2**m >= k``.  Overshooting the exponent can only add reachable
 pairs inside a connected component, never across components, so the cluster
 partition is unchanged.
+
+Squaring stops early at a fixpoint: once ``G . G == G``, every later square
+is ``G`` again, so the matrix returned is bit-identical to the one the full
+``m`` squarings would give.  The count ``power_fast`` reports is still the
+planned ``m``, the number of products the paper's method calls for; the
+squarings actually executed are at most ``m``.
 """
 
 from __future__ import annotations
@@ -109,26 +122,32 @@ def make_power_plan(n: int) -> PowerPlan:
 def bool_multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Matrix product over the Boolean semiring: OR over t of a(i,t) AND b(t,j).
 
-    Routed through a float64 BLAS product: entries of the integer product are
-    counts bounded by n, far below 2**53, so the float result is exact and
-    binarizing it reproduces the semiring product bit for bit.
+    Routed through a float32 BLAS product, which is exact for ``n < 2**24``
+    (see the module docstring; an n x n boolean matrix that large would not
+    fit in memory), so binarizing it reproduces the semiring product bit for
+    bit.  Squaring (``b is a``) converts the operand once.
     """
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    prod = a.bits.astype(np.float64) @ b.bits.astype(np.float64)
-    return BinaryMatrix(prod > 0.5)
+    fa = a.bits.astype(np.float32)
+    fb = fa if b is a else b.bits.astype(np.float32)
+    return BinaryMatrix(fa @ fb > 0.5)
 
 
 def power_fast(a: BinaryMatrix) -> tuple[BinaryMatrix, int]:
-    """Raise ``a`` to the power ``2**m`` by ``m`` successive squarings.
+    """Raise ``a`` to the power ``2**m`` by at most ``m`` successive squarings.
 
-    Returns the power matrix and the number of multiplications performed,
-    which always equals ``make_power_plan(a.n).m``.
+    Stops at the first squaring that changes nothing, since every later one
+    would return the same matrix.  Returns the power matrix and the planned
+    multiplication count, which always equals ``make_power_plan(a.n).m``.
     """
     plan = make_power_plan(a.n)
     g = a
     for _ in range(plan.m):
-        g = bool_multiply(g, g)
+        squared = bool_multiply(g, g)
+        if squared == g:
+            break
+        g = squared
     return g, plan.m
 
 

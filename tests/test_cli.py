@@ -132,6 +132,28 @@ def test_cluster_rejects_bad_radius(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows, radius",
+    [("a,0,0\nb,2e-200,0\n", "1e-200"), ("a,0,0\nb,1e200,0\nc,2e200,0\n", "1.5e200")],
+    ids=["underflow", "overflow"],
+)
+def test_cluster_rejects_radius_outside_safe_range(tmp_path, capsys, rows, radius):
+    inp = tmp_path / "pts.csv"
+    inp.write_text("id,x,y\n" + rows)
+    code = main(["cluster", "--input", str(inp), "--radius", radius, "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "safe range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coord", ["2e-200", "1e200"])
+def test_cluster_rejects_coordinates_outside_safe_range(tmp_path, capsys, coord):
+    inp = tmp_path / "pts.csv"
+    inp.write_text(f"id,x,y\na,0,0\nb,{coord},0\n")
+    code = main(["cluster", "--input", str(inp), "--radius", "1", "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    assert "safe magnitude range" in capsys.readouterr().err
+
+
 def test_cluster_reports_csv_line_numbers(tmp_path, capsys):
     inp = tmp_path / "bad.csv"
     inp.write_text("id,x,y\n0,0.0,0.0\n1,oops,1.0\n")

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from radclust.clustering import cluster_pointset
 from radclust.geometry import (
+    SCALE_MAX,
+    SCALE_MIN,
     ClusteringConfig,
     Point,
     PointSet,
@@ -75,6 +78,37 @@ def test_pointset_rejects_empty():
 def test_config_rejects_non_positive_or_non_finite_radius(radius):
     with pytest.raises(ValueError):
         ClusteringConfig(radius=radius)
+
+
+@pytest.mark.parametrize("radius", [1e-200, SCALE_MIN / 2, SCALE_MAX * 2, 1e200])
+def test_config_rejects_radius_outside_safe_range(radius):
+    with pytest.raises(ValueError, match="safe range"):
+        ClusteringConfig(radius=radius)
+
+
+def test_config_accepts_safe_range_ends():
+    assert ClusteringConfig(radius=SCALE_MIN).radius == SCALE_MIN
+    assert ClusteringConfig(radius=SCALE_MAX).radius == SCALE_MAX
+
+
+@pytest.mark.parametrize("value", [2e-200, -2e-200, SCALE_MIN / 2, 1e200, -SCALE_MAX * 2])
+def test_adjacency_rejects_coordinates_outside_safe_range(value):
+    # 2e-200 apart at r = 1e-200 used to form one cluster: the squared
+    # difference underflowed to 0.  Near 1e200 the squares overflow to inf.
+    ps = PointSet.from_coords([[0.0, 0.0], [value, 0.0]])
+    with pytest.raises(ValueError, match=r"point 1: coordinate .* safe magnitude range"):
+        build_adjacency(ps, ClusteringConfig(radius=1.0))
+
+
+def test_adjacency_is_exact_at_the_ends_of_the_safe_range():
+    # Zero coordinates are allowed; pairs at the smallest and largest scale
+    # keep the strict distance < r predicate, including a pair exactly at r.
+    r_lo = ClusteringConfig(radius=SCALE_MIN)
+    near = PointSet.from_coords([[0.0], [SCALE_MIN], [SCALE_MIN * 1.5], [SCALE_MIN * 4]])
+    assert cluster_pointset(near, r_lo)[0].labels.tolist() == [1, 2, 2, 3]
+    r_hi = ClusteringConfig(radius=SCALE_MAX)
+    far = PointSet.from_coords([[-SCALE_MAX, 0.0], [-SCALE_MAX / 2, 0.0], [SCALE_MAX / 2, 0.0]])
+    assert cluster_pointset(far, r_hi)[0].labels.tolist() == [1, 1, 2]
 
 
 def test_chain_adjacency_is_tridiagonal():

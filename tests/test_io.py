@@ -67,6 +67,14 @@ def test_points_csv_bad_header(tmp_path):
         read_points_csv(str(path))
 
 
+def test_points_csv_accepts_utf8_bom(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,x,y\na,0,0\nb,1,0\n")
+    ps = read_points_csv(str(path))
+    assert ps.ids == ("a", "b")
+    assert np.array_equal(ps.coords, [[0.0, 0.0], [1.0, 0.0]])
+
+
 def test_points_csv_field_count_error_names_line(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,0.0,0.0\n1,1.0\n")
@@ -135,6 +143,14 @@ def test_trajectory_csv_groups_consecutive_rows(tmp_path):
     frames = read_trajectory_csv(str(path))
     assert [f.t for f in frames] == [0.0, 2.5]
     assert frames[1].points.ids == (0, 1)
+
+
+def test_trajectory_csv_accepts_utf8_bom(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"\xef\xbb\xbft,id,x,y\n0,0,0.0,0.0\n1,0,0.5,0.0\n")
+    frames = read_trajectory_csv(str(path))
+    assert [f.t for f in frames] == [0.0, 1.0]
+    assert frames[1].points.ids == (0,)
 
 
 def test_trajectory_csv_rejects_decreasing_t(tmp_path):
