@@ -39,7 +39,7 @@ def main() -> None:
 
     # The overshoot changes nothing: cluster a random instance both ways.
     rng = np.random.default_rng(0)
-    ps = PointSet.from_coords(rng.random((60, 2)))
+    ps = PointSet(rng.random((60, 2)))
     adjacency = build_adjacency(ps, ClusteringConfig(radius=0.16))
     g_fast, mults = power_fast(adjacency)
     g_slow = power_naive_oracle(adjacency)

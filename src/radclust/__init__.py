@@ -9,7 +9,7 @@ as long as their points stay chained within ``r``.
 
 Modules:
 
-* ``geometry``   points, distance, radius-graph adjacency
+* ``geometry``   the ``PointSet`` container, radius-graph adjacency
 * ``matpower``   boolean matrix powers by repeated squaring, plus oracles
 * ``clustering`` mask labeling, components oracle, size-ranked tables
 * ``scenarios``  deterministic synthetic scene generators
@@ -30,10 +30,8 @@ from .clustering import (
 )
 from .geometry import (
     ClusteringConfig,
-    Point,
     PointSet,
     build_adjacency,
-    euclidean_distance,
 )
 from .io import (
     cluster_payload,
@@ -91,7 +89,6 @@ __all__ = [
     "Frame",
     "LabelVector",
     "MOTORCADE_RADIUS",
-    "Point",
     "PointSet",
     "PowerPlan",
     "SCENARIO_KINDS",
@@ -109,7 +106,6 @@ __all__ = [
     "connected_components_oracle",
     "dense_core_with_scatter_points",
     "detect_events",
-    "euclidean_distance",
     "events_payload",
     "field_side",
     "forked_branch_points",

@@ -120,9 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_svg(args, ps: PointSet) -> None:
+    # Checked before any output is written, so a bad --svg leaves no files.
+    if args.svg and ps.dimension != 2:
+        raise ValueError(f"--svg needs 2-d points, got d={ps.dimension}")
+
+
 def _cmd_cluster(args) -> None:
     cfg = ClusteringConfig(radius=args.radius)
     ps = read_points_csv(args.input)
+    _check_svg(args, ps)
     lv, table = cluster_pointset(ps, cfg)
     write_json(cluster_payload(cfg.radius, lv, table), args.out)
     if args.svg:
@@ -157,15 +164,21 @@ def _cmd_generate(args) -> None:
 
 def _cmd_trajectory(args) -> None:
     cfg = ClusteringConfig(radius=args.radius)
-    frames = read_trajectory_csv(args.input)
-    if args.project == "equirect":
-        frames = project_equirect(frames)
-    results = cluster_frames(frames, cfg)
-    events = detect_events(results, frames)
-    write_json(frames_payload(cfg.radius, frames, results), args.out)
     events_path = args.events or os.path.join(
         os.path.dirname(args.out) or ".", "events.json"
     )
+    if os.path.realpath(events_path) == os.path.realpath(args.out):
+        raise ValueError(
+            f"the frames and events outputs are the same file {args.out!r}; "
+            "pass --events with a different path"
+        )
+    frames = read_trajectory_csv(args.input)
+    if args.project == "equirect":
+        frames = project_equirect(frames)
+    _check_svg(args, frames[0].points)
+    results = cluster_frames(frames, cfg)
+    events = detect_events(results, frames)
+    write_json(frames_payload(cfg.radius, frames, results), args.out)
     write_json(events_payload(events), events_path)
     if args.svg:
         render_frames_svg(frames, results, args.svg)
@@ -193,7 +206,7 @@ def _cmd_bench(args) -> None:
     records = []
     for n in ns:
         # Random geometric instance with expected degree of a few neighbors.
-        ps = PointSet.from_coords(rng.random((n, 2)))
+        ps = PointSet(rng.random((n, 2)))
         cfg = ClusteringConfig(radius=1.2 / np.sqrt(n))
         adjacency = build_adjacency(ps, cfg)
         plan = make_power_plan(n)

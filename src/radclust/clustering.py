@@ -25,7 +25,7 @@ partition by plain graph traversal and serves as independent ground truth.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,13 +105,12 @@ class ClusterTable:
     """Cluster sizes and the size ranking.
 
     ``frequencies`` maps label -> node count.  ``ranking`` lists labels by
-    descending size, ties broken by ascending label.  ``color_ranks`` tags the
-    top three labels with ranks 1 (red), 2 (green), 3 (blue).
+    descending size, ties broken by ascending label; ``cluster_color_names``
+    maps it to display colors.
     """
 
     frequencies: dict[int, int]
-    ranking: tuple[int, ...] = field(default=())
-    color_ranks: dict[int, int] = field(default_factory=dict)
+    ranking: tuple[int, ...] = ()
 
     @property
     def sizes_ranked(self) -> tuple[int, ...]:
@@ -170,10 +169,7 @@ def build_cluster_table(lv: LabelVector) -> ClusterTable:
     counts = np.bincount(lv.labels, minlength=lv.n_clusters + 1)[1:]
     frequencies = {c + 1: int(f) for c, f in enumerate(counts)}
     ranking = tuple(sorted(frequencies, key=lambda c: (-frequencies[c], c)))
-    color_ranks = {c: rank for rank, c in enumerate(ranking[:3], start=1)}
-    return ClusterTable(
-        frequencies=frequencies, ranking=ranking, color_ranks=color_ranks
-    )
+    return ClusterTable(frequencies=frequencies, ranking=ranking)
 
 
 def cluster_pointset(

@@ -1,4 +1,4 @@
-"""Point containers, Euclidean distance, and radius-graph adjacency.
+"""The point container and radius-graph adjacency.
 
 Two nodes are adjacent when their Euclidean distance is strictly below the
 clustering radius ``r``.  The boundary is exact: no tolerance band is applied,
@@ -24,7 +24,7 @@ range are rejected with ``ValueError`` instead of being clustered wrongly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -32,10 +32,8 @@ from .matpower import BinaryMatrix
 
 __all__ = [
     "NodeId",
-    "Point",
     "PointSet",
     "ClusteringConfig",
-    "euclidean_distance",
     "build_adjacency",
     "SCALE_MIN",
     "SCALE_MAX",
@@ -54,80 +52,45 @@ _SAFE_RANGE = f"[2**-500, 2**500] ({SCALE_MIN:.3g} to {SCALE_MAX:.3g})"
 _CHUNK_ELEMENTS = 2**16
 
 
-@dataclass(frozen=True)
-class Point:
-    """A labeled point in d-dimensional space.
-
-    The id is the node's identity, stable across trajectory frames.
-    Coordinates are stored as a read-only float64 vector.
-    """
-
-    id: NodeId
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = np.array(self.coords, dtype=np.float64)
-        if coords.ndim != 1 or coords.size == 0:
-            raise ValueError(
-                f"point {self.id!r}: coords must be a non-empty 1-d sequence"
-            )
-        if not np.all(np.isfinite(coords)):
-            raise ValueError(f"point {self.id!r}: coordinates must be finite")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dimension(self) -> int:
-        return self.coords.size
-
-
 class PointSet:
-    """An ordered collection of uniquely labeled points of one dimension.
+    """An ordered set of uniquely labeled points of one dimension.
 
-    The point order is the canonical node index order: row/column ``i`` of the
-    adjacency matrix, entry ``i`` of the label vector, and row ``i`` of any
-    report all refer to ``points[i]``.
+    ``coords`` is a read-only (N, d) float64 copy of the input, N >= 1 and
+    d >= 1, every value finite; ``ids`` is a tuple of N unique node ids,
+    0..N-1 when none are given.  Ids are the nodes' identities, stable across
+    trajectory frames.  Row order is the canonical node index order: row and
+    column ``i`` of the adjacency matrix, entry ``i`` of the label vector and
+    row ``i`` of any report all refer to ``coords[i]`` and ``ids[i]``.
     """
 
-    __slots__ = ("_points", "ids", "coords")
+    __slots__ = ("ids", "coords")
 
-    def __init__(self, points: Iterable[Point]) -> None:
-        pts = tuple(points)
-        if not pts:
-            raise ValueError("a point set needs at least one point")
-        d = pts[0].dimension
-        for p in pts:
-            if p.dimension != d:
-                raise ValueError(
-                    f"point {p.id!r} has dimension {p.dimension}, expected {d}"
-                )
-        ids = tuple(p.id for p in pts)
-        seen = set()
-        for i in ids:
-            if i in seen:
-                raise ValueError(f"duplicate point id {i!r}")
-            seen.add(i)
-        coords = np.vstack([p.coords for p in pts])
-        coords.setflags(write=False)
-        self._points = pts
-        self.ids = ids
-        self.coords = coords
-
-    @classmethod
-    def from_coords(
-        cls, coords, ids: Sequence[NodeId] | None = None
-    ) -> "PointSet":
-        """Build a set from an (N, d) coordinate array; ids default to 0..N-1."""
-        arr = np.asarray(coords, dtype=np.float64)
+    def __init__(self, coords, ids: Sequence[NodeId] | None = None) -> None:
+        arr = np.array(coords, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"coords must be 2-d (N, d), got shape {arr.shape}")
-        if ids is None:
-            ids = range(arr.shape[0])
-        return cls(Point(i, row) for i, row in zip(ids, arr, strict=True))
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self._points
+        n, d = arr.shape
+        if n == 0:
+            raise ValueError("a point set needs at least one point")
+        ids = tuple(range(n)) if ids is None else tuple(ids)
+        if len(ids) != n:
+            raise ValueError(f"got {len(ids)} ids for {n} points")
+        if d == 0:
+            raise ValueError(f"point {ids[0]!r}: needs at least one coordinate")
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"point {ids[int(finite.argmin())]!r}: coordinates must be finite"
+            )
+        if len(set(ids)) != n:
+            seen = set()
+            for i in ids:
+                if i in seen:
+                    raise ValueError(f"duplicate point id {i!r}")
+                seen.add(i)
+        arr.setflags(write=False)
+        self.ids = ids
+        self.coords = arr
 
     @property
     def dimension(self) -> int:
@@ -135,12 +98,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.coords.shape[0]
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self._points)
-
-    def __getitem__(self, i: int) -> Point:
-        return self._points[i]
 
     def __repr__(self) -> str:
         return f"PointSet(n={len(self)}, d={self.dimension})"
@@ -164,15 +121,6 @@ class ClusteringConfig:
                 f"radius {self.radius} is outside the safe range {_SAFE_RANGE}"
             )
         object.__setattr__(self, "radius", r)
-
-
-def euclidean_distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points of equal dimension."""
-    if a.dimension != b.dimension:
-        raise ValueError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
-        )
-    return float(np.sqrt(((a.coords - b.coords) ** 2).sum()))
 
 
 def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterTable, LabelVector, cluster_color_names
-from .geometry import Point, PointSet
+from .geometry import PointSet
 from .trajectory import ClusterEvent, Frame
 
 __all__ = [
@@ -62,14 +62,35 @@ def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
     return value
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+def _records(path: str, lead: tuple[str, ...]):
+    """Yield ``(line_no, row)`` for each data row of a CSV.
+
+    The header must start with the ``lead`` columns and have at least one
+    coordinate column after them; each row's field count is checked as the
+    row is reached, so the first malformed line is the one reported.
+    """
     # utf-8-sig drops a leading byte-order mark, which would spoil the header.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return [
+        rows = [
             (line_no, row)
             for line_no, row in enumerate(csv.reader(fh), start=1)
             if row  # skip blank lines
         ]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header_no, header = rows[0]
+    names = [name.strip().lower() for name in header[: len(lead)]]
+    if len(header) <= len(lead) or names != list(lead):
+        raise ValueError(
+            f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
+            f"got {','.join(header)!r}"
+        )
+    for line_no, row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        yield line_no, row
 
 
 def _coord_names(d: int) -> list[str]:
@@ -79,23 +100,9 @@ def _coord_names(d: int) -> list[str]:
 
 def read_points_csv(path: str) -> PointSet:
     """Read a point CSV into a :class:`PointSet` (row order preserved)."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header_no, header = rows[0]
-    if len(header) < 2 or header[0].strip().lower() != "id":
-        raise ValueError(
-            f"{path}: line {header_no}: header must be id,<coord>,... "
-            f"got {','.join(header)!r}"
-        )
-    width = len(header)
     raw_ids: list[str] = []
     coords: list[list[float]] = []
-    for line_no, row in rows[1:]:
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: line {line_no}: expected {width} fields, got {len(row)}"
-            )
+    for line_no, row in _records(path, ("id",)):
         raw_ids.append(row[0].strip())
         coords.append(
             [_parse_float(tok, path, line_no, "coordinate") for tok in row[1:]]
@@ -103,9 +110,7 @@ def read_points_csv(path: str) -> PointSet:
     if not raw_ids:
         raise ValueError(f"{path}: no data rows")
     try:
-        return PointSet(
-            Point(i, np.array(c)) for i, c in zip(_parse_ids(raw_ids), coords)
-        )
+        return PointSet(coords, _parse_ids(raw_ids))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -113,69 +118,45 @@ def read_points_csv(path: str) -> PointSet:
 def write_points_csv(ps: PointSet, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("id," + ",".join(_coord_names(ps.dimension)) + "\n")
-        for point in ps:
-            values = ",".join(repr(float(v)) for v in point.coords)
-            fh.write(f"{point.id},{values}\n")
+        for node_id, row in zip(ps.ids, ps.coords):
+            values = ",".join(repr(float(v)) for v in row)
+            fh.write(f"{node_id},{values}\n")
 
 
 def read_trajectory_csv(path: str) -> list[Frame]:
-    """Read a trajectory CSV into time-ordered frames."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header_no, header = rows[0]
-    if (
-        len(header) < 3
-        or header[0].strip().lower() != "t"
-        or header[1].strip().lower() != "id"
-    ):
-        raise ValueError(
-            f"{path}: line {header_no}: header must be t,id,<coord>,... "
-            f"got {','.join(header)!r}"
-        )
-    width = len(header)
-    # (t, raw id, coords) per row, grouped into frames afterwards
-    parsed: list[tuple[float, str, list[float]]] = []
-    prev_t = None
-    for line_no, row in rows[1:]:
-        if len(row) != width:
-            raise ValueError(
-                f"{path}: line {line_no}: expected {width} fields, got {len(row)}"
-            )
+    """Read a trajectory CSV into time-ordered frames.
+
+    Frames are the runs of rows with equal timestamps.
+    """
+    times: list[float] = []
+    raw_ids: list[str] = []
+    coords: list[list[float]] = []
+    for line_no, row in _records(path, ("t", "id")):
         t = _parse_float(row[0], path, line_no, "timestamp")
-        if prev_t is not None and t < prev_t:
+        if times and t < times[-1]:
             raise ValueError(
                 f"{path}: line {line_no}: timestamp {t} decreases "
-                f"(previous was {prev_t})"
+                f"(previous was {times[-1]})"
             )
-        prev_t = t
-        parsed.append(
-            (
-                t,
-                row[1].strip(),
-                [_parse_float(tok, path, line_no, "coordinate") for tok in row[2:]],
-            )
+        times.append(t)
+        raw_ids.append(row[1].strip())
+        coords.append(
+            [_parse_float(tok, path, line_no, "coordinate") for tok in row[2:]]
         )
-    if not parsed:
+    if not times:
         raise ValueError(f"{path}: no data rows")
-    ids = _parse_ids([raw for _, raw, _ in parsed])
+    ids = _parse_ids(raw_ids)
+    block = np.array(coords)
+    stamps = np.array(times)
+    starts = [0, *(np.flatnonzero(stamps[1:] != stamps[:-1]) + 1).tolist()]
     frames: list[Frame] = []
-    group: list[Point] = []
-    group_t = parsed[0][0]
-    for (t, _, coords), node_id in zip(parsed, ids):
-        if t != group_t:
-            frames.append(_make_frame(group_t, group, path))
-            group, group_t = [], t
-        group.append(Point(node_id, np.array(coords)))
-    frames.append(_make_frame(group_t, group, path))
+    for lo, hi in zip(starts, starts[1:] + [len(times)]):
+        t = times[lo]
+        try:
+            frames.append(Frame(t=t, points=PointSet(block[lo:hi], ids[lo:hi])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: frame t={t}: {exc}") from None
     return frames
-
-
-def _make_frame(t: float, points: list[Point], path: str) -> Frame:
-    try:
-        return Frame(t=t, points=PointSet(points))
-    except ValueError as exc:
-        raise ValueError(f"{path}: frame t={t}: {exc}") from None
 
 
 def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
@@ -185,9 +166,9 @@ def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,id," + ",".join(_coord_names(d)) + "\n")
         for frame in frames:
-            for point in frame.points:
-                values = ",".join(repr(float(v)) for v in point.coords)
-                fh.write(f"{repr(float(frame.t))},{point.id},{values}\n")
+            for node_id, row in zip(frame.points.ids, frame.points.coords):
+                values = ",".join(repr(float(v)) for v in row)
+                fh.write(f"{repr(float(frame.t))},{node_id},{values}\n")
 
 
 def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
@@ -210,11 +191,8 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
         lon = frame.points.coords[:, 1]
         x = EARTH_RADIUS_M * np.radians(lon - lon0) * cos_lat0
         y = EARTH_RADIUS_M * np.radians(lat - lat0)
-        points = [
-            Point(i, np.array([xi, yi]))
-            for i, xi, yi in zip(frame.points.ids, x, y)
-        ]
-        projected.append(Frame(t=frame.t, points=PointSet(points)))
+        points = PointSet(np.column_stack([x, y]), frame.points.ids)
+        projected.append(Frame(t=frame.t, points=points))
     return projected
 
 

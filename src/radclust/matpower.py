@@ -70,9 +70,6 @@ class BinaryMatrix:
     def identity(cls, n: int) -> "BinaryMatrix":
         return cls(np.eye(n, dtype=bool))
 
-    def row(self, i: int) -> np.ndarray:
-        return self.bits[i]
-
     def to_array(self) -> np.ndarray:
         """Entries as a fresh int8 array (handy for printing and oracles)."""
         return self.bits.astype(np.int8)

@@ -65,7 +65,7 @@ def chain_points(n, spacing) -> PointSet:
     n = _count("n", n)
     spacing = _positive("spacing", spacing)
     coords = np.column_stack([np.arange(n) * spacing, np.zeros(n)])
-    return PointSet.from_coords(coords)
+    return PointSet(coords)
 
 
 def thick_chain_points(n, spacing, width) -> PointSet:
@@ -77,7 +77,7 @@ def thick_chain_points(n, spacing, width) -> PointSet:
     spacing = _positive("spacing", spacing)
     width = _positive("width", width)
     coords = np.column_stack([np.arange(n) * spacing, (np.arange(n) % 2) * width])
-    return PointSet.from_coords(coords)
+    return PointSet(coords)
 
 
 def blob_points(n, spacing, jitter, seed=0) -> PointSet:
@@ -95,7 +95,7 @@ def blob_points(n, spacing, jitter, seed=0) -> PointSet:
     base = np.column_stack([(idx % cols) * spacing, (idx // cols) * spacing])
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-jitter, jitter, size=(n, 2))
-    return PointSet.from_coords(base + offsets)
+    return PointSet(base + offsets)
 
 
 def ring_points(n, ring_radius) -> PointSet:
@@ -110,7 +110,7 @@ def ring_points(n, ring_radius) -> PointSet:
     ring_radius = _positive("ring_radius", ring_radius)
     angles = 2.0 * np.pi * np.arange(n) / n
     coords = ring_radius * np.column_stack([np.cos(angles), np.sin(angles)])
-    return PointSet.from_coords(coords)
+    return PointSet(coords)
 
 
 def forked_branch_points(n_trunk, n_branch, n_tail, spacing, height) -> PointSet:
@@ -135,7 +135,7 @@ def forked_branch_points(n_trunk, n_branch, n_tail, spacing, height) -> PointSet
     lower = np.column_stack([bx, -by])
     x1 = x0 + n_branch * spacing
     tail = np.column_stack([x1 + np.arange(n_tail) * spacing, np.zeros(n_tail)])
-    return PointSet.from_coords(np.vstack([trunk, upper, lower, tail]))
+    return PointSet(np.vstack([trunk, upper, lower, tail]))
 
 
 def dense_core_with_scatter_points(
@@ -171,7 +171,7 @@ def dense_core_with_scatter_points(
     rad = np.concatenate([core_rad, scat_rad])
     ang = np.concatenate([core_ang, scat_ang])
     coords = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    return PointSet.from_coords(coords)
+    return PointSet(coords)
 
 
 def uniform_random_points(n, side, seed=0) -> PointSet:
@@ -179,7 +179,7 @@ def uniform_random_points(n, side, seed=0) -> PointSet:
     n = _count("n", n)
     side = _positive("side", side)
     rng = np.random.default_rng(seed)
-    return PointSet.from_coords(rng.random((n, 2)) * side)
+    return PointSet(rng.random((n, 2)) * side)
 
 
 def field_side(n, radius, points_per_disk) -> float:
@@ -261,4 +261,4 @@ def shape_showcase(radius: float, seed: int = 0) -> PointSet:
         _translate(g, 40.0 * r * (i % 4), 40.0 * r * (i // 4))
         for i, g in enumerate(groups)
     ]
-    return PointSet.from_coords(np.vstack(placed))
+    return PointSet(np.vstack(placed))

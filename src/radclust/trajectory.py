@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterTable, LabelVector, cluster_pointset
-from .geometry import ClusteringConfig, NodeId, Point, PointSet
+from .geometry import ClusteringConfig, NodeId, PointSet
 
 __all__ = [
     "Frame",
@@ -173,13 +173,11 @@ def synthetic_motorcade() -> list[Frame]:
     """
     speed = 10.0
     gap = 6.0
+    cars = np.arange(7)
+    y = 3.0 * (cars % 2)
     frames = []
     for t in range(161):
         lag = float(np.interp(t, _LAG_KNOTS_T, _LAG_KNOTS_M))
-        points = []
-        for car in range(7):
-            x = speed * t - gap * car - (lag if car >= 5 else 0.0)
-            y = 3.0 * (car % 2)
-            points.append(Point(car, np.array([x, y])))
-        frames.append(Frame(t=float(t), points=PointSet(points)))
+        x = speed * t - gap * cars - np.where(cars >= 5, lag, 0.0)
+        frames.append(Frame(t=float(t), points=PointSet(np.column_stack([x, y]))))
     return frames

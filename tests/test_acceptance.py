@@ -65,7 +65,7 @@ def test_criterion_1_oracle_equivalence(corpus, capsys):
     with criterion(1, "pipeline partition equals components oracle on 500 instances", capsys):
         mismatches = 0
         for coords, radius in corpus:
-            ps = PointSet.from_coords(coords)
+            ps = PointSet(coords)
             cfg = ClusteringConfig(radius=radius)
             lv, _ = cluster_pointset(ps, cfg)
             oracle = connected_components_oracle(build_adjacency(ps, cfg))
@@ -84,7 +84,7 @@ def test_criterion_2_exponent_insensitivity(corpus, capsys):
                 continue
             checked += 1
             a = build_adjacency(
-                PointSet.from_coords(coords), ClusteringConfig(radius=radius)
+                PointSet(coords), ClusteringConfig(radius=radius)
             )
             fast_g, _ = power_fast(a)
             naive_g = power_naive_oracle(a)

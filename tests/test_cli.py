@@ -163,6 +163,19 @@ def test_cluster_reports_csv_line_numbers(tmp_path, capsys):
     assert "line 3" in err and "oops" in err
 
 
+def test_cluster_svg_of_3d_points_writes_nothing(tmp_path, capsys):
+    inp = tmp_path / "pts.csv"
+    inp.write_text("id,x,y,z\n0,0.0,0.0,0.0\n1,1.0,0.0,0.0\n")
+    out = tmp_path / "labels.json"
+    svg = tmp_path / "plot.svg"
+    code = main(
+        ["cluster", "--input", str(inp), "--radius", "1.5", "--out", str(out), "--svg", str(svg)]
+    )
+    assert code == 1
+    assert "--svg needs 2-d points, got d=3" in capsys.readouterr().err
+    assert not out.exists() and not svg.exists()
+
+
 def test_usage_error_exits_one(tmp_path, capsys):
     assert main(["cluster", "--radius", "1"]) == 1  # --input/--out missing
     assert "error:" in capsys.readouterr().err
@@ -269,6 +282,33 @@ def test_trajectory_default_events_path(tmp_path, motorcade_csv):
     out = str(out_dir / "frames.json")
     assert main(["trajectory", "--input", motorcade_csv, "--radius", "15", "--out", out]) == 0
     assert (out_dir / "events.json").exists()
+
+
+@pytest.mark.parametrize("events", [None, "events.json", "./events.json"])
+def test_trajectory_refuses_events_path_equal_to_out(tmp_path, monkeypatch, capsys, motorcade_csv, events):
+    # With no --events the events go to events.json next to --out.
+    monkeypatch.chdir(tmp_path)
+    argv = ["trajectory", "--input", motorcade_csv, "--radius", "15", "--out", "events.json"]
+    if events is not None:
+        argv += ["--events", events]
+    assert main(argv) == 1
+    assert "same file" in capsys.readouterr().err
+    assert not (tmp_path / "events.json").exists()
+
+
+def test_trajectory_svg_of_3d_points_writes_nothing(tmp_path, capsys):
+    inp = tmp_path / "traj.csv"
+    inp.write_text("t,id,x,y,z\n0,0,0.0,0.0,0.0\n1,0,1.0,0.0,0.0\n")
+    svg_dir = tmp_path / "plots"
+    code = main(
+        [
+            "trajectory", "--input", str(inp), "--radius", "1",
+            "--out", str(tmp_path / "frames.json"), "--svg", str(svg_dir),
+        ]
+    )
+    assert code == 1
+    assert "--svg needs 2-d points, got d=3" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
 
 
 def test_trajectory_writes_frame_svgs(tmp_path, motorcade_csv):

@@ -37,7 +37,7 @@ def test_identity_labels_are_singletons():
 def test_labels_match_component_oracle_on_random_points():
     for seed in range(50):
         coords = np.random.default_rng(seed).random((50, 2))
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         cfg = ClusteringConfig(radius=0.15)
         a = build_adjacency(ps, cfg)
         g, _ = power_fast(a)
@@ -94,7 +94,6 @@ def test_cluster_table_sizes_ranking_and_colors():
     table = build_cluster_table(lv)
     assert table.frequencies == {1: 3, 2: 1, 3: 1}
     assert table.ranking == (1, 2, 3)
-    assert table.color_ranks == {1: 1, 2: 2, 3: 3}
     assert table.sizes_ranked == (3, 1, 1)
     assert cluster_color_names(table) == {1: "red", 2: "green", 3: "blue"}
 
@@ -103,15 +102,13 @@ def test_cluster_table_breaks_size_ties_by_label():
     lv = LabelVector(np.array([1, 2, 2, 3, 3, 4]))
     table = build_cluster_table(lv)
     assert table.ranking == (2, 3, 1, 4)
-    assert table.color_ranks == {2: 1, 3: 2, 1: 3}
-    assert cluster_color_names(table)[4] == "orange"
+    assert cluster_color_names(table) == {2: "red", 3: "green", 1: "blue", 4: "orange"}
 
 
 def test_cluster_table_single_cluster():
     table = build_cluster_table(LabelVector(np.array([1, 1, 1])))
     assert table.frequencies == {1: 3}
     assert table.ranking == (1,)
-    assert table.color_ranks == {1: 1}
 
 
 def test_color_names_cycle_beyond_palette():
@@ -129,7 +126,7 @@ def test_color_names_cycle_beyond_palette():
 
 
 def test_pipeline_chain_single_cluster():
-    ps = PointSet.from_coords([[float(i), 0.0] for i in range(7)])
+    ps = PointSet([[float(i), 0.0] for i in range(7)])
     lv, table = cluster_pointset(ps, ClusteringConfig(radius=1.5))
     assert lv.labels.tolist() == [1] * 7
     assert table.sizes_ranked == (7,)
@@ -137,7 +134,7 @@ def test_pipeline_chain_single_cluster():
 
 def test_pipeline_single_point():
     lv, table = cluster_pointset(
-        PointSet.from_coords([[0.0, 0.0]]), ClusteringConfig(radius=1.0)
+        PointSet([[0.0, 0.0]]), ClusteringConfig(radius=1.0)
     )
     assert lv.labels.tolist() == [1]
     assert table.frequencies == {1: 1}
@@ -149,7 +146,7 @@ def test_pipeline_matches_oracle_many_random_sets():
         n = int(rng.integers(1, 90))
         coords = rng.random((n, 2))
         for radius in (0.05, 0.12, 0.3):
-            ps = PointSet.from_coords(coords)
+            ps = PointSet(coords)
             cfg = ClusteringConfig(radius=radius)
             lv, table = cluster_pointset(ps, cfg)
             oracle = connected_components_oracle(build_adjacency(ps, cfg))
@@ -161,9 +158,9 @@ def test_pipeline_permutation_equivariant():
     rng = np.random.default_rng(8)
     coords = rng.random((40, 2))
     cfg = ClusteringConfig(radius=0.18)
-    lv, _ = cluster_pointset(PointSet.from_coords(coords), cfg)
+    lv, _ = cluster_pointset(PointSet(coords), cfg)
     perm = rng.permutation(40)
-    lv_p, _ = cluster_pointset(PointSet.from_coords(coords[perm]), cfg)
+    lv_p, _ = cluster_pointset(PointSet(coords[perm]), cfg)
     # the partition of underlying rows must match after undoing the shuffle
     original = partition_sets(lv.labels.tolist())
     unshuffled = [0] * 40

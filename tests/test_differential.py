@@ -76,7 +76,7 @@ def boundary_radii(coords):
 
 
 def test_adjacency_single_point():
-    ps = PointSet.from_coords([[2.5, -1.0]])
+    ps = PointSet([[2.5, -1.0]])
     assert build_adjacency(ps, ClusteringConfig(1.0)).bits.tolist() == [[True]]
 
 
@@ -84,7 +84,7 @@ def test_adjacency_single_point():
 @pytest.mark.parametrize("n", [7, 50, 300])
 def test_adjacency_matches_unchunked_expression(n, d):
     coords = random_coords(n * 10 + d, n, d, duplicates=True)
-    ps = PointSet.from_coords(coords)
+    ps = PointSet(coords)
     for r in boundary_radii(coords):
         got = build_adjacency(ps, ClusteringConfig(r)).bits
         assert np.array_equal(got, unchunked_adjacency(coords, r))
@@ -107,7 +107,7 @@ def test_adjacency_size_cases_cover_chunk_shapes():
 )
 def test_adjacency_matches_unchunked_expression_property(n, d, seed, budget, duplicates):
     coords = random_coords(seed, n, d, duplicates)
-    ps = PointSet.from_coords(coords)
+    ps = PointSet(coords)
     saved = geometry._CHUNK_ELEMENTS
     geometry._CHUNK_ELEMENTS = budget
     try:
@@ -229,7 +229,7 @@ def test_labels_match_mask_scan_and_oracle_on_random_instances():
         d = int(rng.choice([1, 2, 3, 5]))
         coords = rng.random((n, d)) * rng.uniform(1.0, 10.0)
         r = float(rng.uniform(0.1, 2.0))
-        a = build_adjacency(PointSet.from_coords(coords), ClusteringConfig(r))
+        a = build_adjacency(PointSet(coords), ClusteringConfig(r))
         g, _ = power_fast(a)
         lv = cluster_labels(g)
         assert np.array_equal(lv.labels, mask_scan_labels(g.bits))

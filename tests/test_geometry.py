@@ -8,65 +8,69 @@ from radclust.geometry import (
     SCALE_MAX,
     SCALE_MIN,
     ClusteringConfig,
-    Point,
     PointSet,
     build_adjacency,
-    euclidean_distance,
 )
 
 from helpers import pairwise_adjacency
 
 
-def test_distance_3_4_5_triangle():
-    assert euclidean_distance(Point(0, (0.0, 0.0)), Point(1, (3.0, 4.0))) == 5.0
-
-
-def test_distance_of_point_to_itself_is_zero():
-    p = Point("a", (1.25, -7.5, 3.0))
-    assert euclidean_distance(p, p) == 0.0
-
-
-def test_distance_single_differing_axis():
-    a = Point(0, (1.0, 2.0, 3.0))
-    b = Point(1, (1.0, 2.0, 3.5))
-    assert euclidean_distance(a, b) == pytest.approx(0.5, abs=0.0)
-
-
-def test_distance_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        euclidean_distance(Point(0, (0.0, 0.0)), Point(1, (0.0, 0.0, 0.0)))
-
-
 def test_point_rejects_bad_coords():
-    with pytest.raises(ValueError):
-        Point(0, ())
-    with pytest.raises(ValueError):
-        Point(0, (1.0, float("nan")))
-    with pytest.raises(ValueError):
-        Point(0, (float("inf"),))
+    # The message names the first point holding a NaN or an infinity.
+    cases = [
+        ([[1.0, float("nan")]], ["a"], "point 'a': coordinates must be finite"),
+        ([[0.0], [float("inf")]], None, "point 1: coordinates must be finite"),
+        ([[0.0, 0.0], [1.0, -float("inf")], [float("nan"), 0.0]], [5, 7, 9], "point 7:"),
+    ]
+    for coords, ids, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PointSet(coords, ids)
+
+
+@pytest.mark.parametrize(
+    "coords, ids, message",
+    [
+        (np.empty((0, 2)), None, "at least one point"),
+        (np.empty((3, 0)), None, "point 0: needs at least one coordinate"),
+        ([1.0, 2.0], None, "2-d"),
+        (np.zeros((2, 2, 2)), None, "2-d"),
+        ([[0.0, 0.0], [1.0, 0.0]], [0], "got 1 ids for 2 points"),
+        ([[0.0, 0.0]], [0, 1], "got 2 ids for 1 points"),
+    ],
+)
+def test_pointset_rejects_bad_shape_or_ids(coords, ids, message):
+    with pytest.raises(ValueError, match=message):
+        PointSet(coords, ids)
 
 
 def test_point_coords_are_read_only():
-    p = Point(0, (1.0, 2.0))
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ps = PointSet(source)
     with pytest.raises(ValueError):
-        p.coords[0] = 9.0
+        ps.coords[0, 0] = 9.0
+    # The set holds a copy: changing the caller's array does not reach it.
+    source[0, 0] = 9.0
+    assert ps.coords.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert ps.coords.dtype == np.float64
 
 
-def test_pointset_from_coords_assigns_sequential_ids():
-    ps = PointSet.from_coords([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+def test_pointset_assigns_sequential_ids():
+    ps = PointSet([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     assert ps.ids == (0, 1, 2)
     assert len(ps) == 3
     assert ps.dimension == 2
 
 
 def test_pointset_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
-        PointSet([Point(3, (0.0, 0.0)), Point(3, (1.0, 0.0))])
+    with pytest.raises(ValueError, match="duplicate point id 3"):
+        PointSet([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [4, 3, 5, 3])
+    with pytest.raises(ValueError, match="duplicate point id 'b'"):
+        PointSet([(0.0,), (1.0,), (2.0,)], ["a", "b", "b"])
 
 
 def test_pointset_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
-        PointSet([Point(0, (0.0, 0.0)), Point(1, (1.0, 0.0, 0.0))])
+        PointSet([(0.0, 0.0), (1.0, 0.0, 0.0)])
 
 
 def test_pointset_rejects_empty():
@@ -95,7 +99,7 @@ def test_config_accepts_safe_range_ends():
 def test_adjacency_rejects_coordinates_outside_safe_range(value):
     # 2e-200 apart at r = 1e-200 used to form one cluster: the squared
     # difference underflowed to 0.  Near 1e200 the squares overflow to inf.
-    ps = PointSet.from_coords([[0.0, 0.0], [value, 0.0]])
+    ps = PointSet([[0.0, 0.0], [value, 0.0]])
     with pytest.raises(ValueError, match=r"point 1: coordinate .* safe magnitude range"):
         build_adjacency(ps, ClusteringConfig(radius=1.0))
 
@@ -104,10 +108,10 @@ def test_adjacency_is_exact_at_the_ends_of_the_safe_range():
     # Zero coordinates are allowed; pairs at the smallest and largest scale
     # keep the strict distance < r predicate, including a pair exactly at r.
     r_lo = ClusteringConfig(radius=SCALE_MIN)
-    near = PointSet.from_coords([[0.0], [SCALE_MIN], [SCALE_MIN * 1.5], [SCALE_MIN * 4]])
+    near = PointSet([[0.0], [SCALE_MIN], [SCALE_MIN * 1.5], [SCALE_MIN * 4]])
     assert cluster_pointset(near, r_lo)[0].labels.tolist() == [1, 2, 2, 3]
     r_hi = ClusteringConfig(radius=SCALE_MAX)
-    far = PointSet.from_coords([[-SCALE_MAX, 0.0], [-SCALE_MAX / 2, 0.0], [SCALE_MAX / 2, 0.0]])
+    far = PointSet([[-SCALE_MAX, 0.0], [-SCALE_MAX / 2, 0.0], [SCALE_MAX / 2, 0.0]])
     assert cluster_pointset(far, r_hi)[0].labels.tolist() == [1, 1, 2]
 
 
@@ -115,7 +119,7 @@ def test_chain_adjacency_is_tridiagonal():
     # Seven collinear points at unit spacing: radius 1.5 reaches exactly the
     # immediate neighbours on each side.
     coords = [[float(i), 0.0] for i in range(7)]
-    ps = PointSet.from_coords(coords)
+    ps = PointSet(coords)
     adj = build_adjacency(ps, ClusteringConfig(radius=1.5))
     expected = np.zeros((7, 7), dtype=bool)
     for i in range(7):
@@ -130,25 +134,25 @@ def test_adjacency_matches_pairwise_oracle():
         n = int(rng.integers(2, 40))
         coords = rng.random((n, 2)) * 3.0
         radius = float(rng.uniform(0.1, 1.5))
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         got = build_adjacency(ps, ClusteringConfig(radius=radius)).to_array()
         assert np.array_equal(got, pairwise_adjacency(coords, radius))
 
 
 def test_single_point_adjacency():
-    ps = PointSet.from_coords([[4.0, -2.0]])
+    ps = PointSet([[4.0, -2.0]])
     adj = build_adjacency(ps, ClusteringConfig(radius=0.001))
     assert np.array_equal(adj.to_array(), [[True]])
 
 
 def test_distance_exactly_at_radius_is_not_adjacent():
     # The threshold is strict: d < r, so d == r stays disconnected.
-    ps = PointSet.from_coords([[0.0, 0.0], [1.5, 0.0]])
+    ps = PointSet([[0.0, 0.0], [1.5, 0.0]])
     adj = build_adjacency(ps, ClusteringConfig(radius=1.5)).to_array()
     assert not adj[0, 1] and not adj[1, 0]
     assert adj[0, 0] and adj[1, 1]
     # 3-4-5 again, at the boundary.
-    ps = PointSet.from_coords([[0.0, 0.0], [3.0, 4.0]])
+    ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
     adj = build_adjacency(ps, ClusteringConfig(radius=5.0)).to_array()
     assert not adj[0, 1]
 
@@ -157,7 +161,7 @@ def test_adjacency_symmetric_with_unit_diagonal():
     rng = np.random.default_rng(123)
     for seed in range(10):
         coords = np.random.default_rng(seed).random((25, 3))
-        ps = PointSet.from_coords(coords)
+        ps = PointSet(coords)
         bits = build_adjacency(ps, ClusteringConfig(radius=0.4)).to_array()
         assert np.array_equal(bits, bits.T)
         assert bits.diagonal().all()
@@ -166,7 +170,7 @@ def test_adjacency_symmetric_with_unit_diagonal():
 
 def test_adjacency_monotonic_in_radius():
     coords = np.random.default_rng(5).random((30, 2))
-    ps = PointSet.from_coords(coords)
+    ps = PointSet(coords)
     small = build_adjacency(ps, ClusteringConfig(radius=0.2)).to_array()
     large = build_adjacency(ps, ClusteringConfig(radius=0.5)).to_array()
     assert not (small & ~large).any()
@@ -189,6 +193,6 @@ def test_adjacency_invariant_under_rigid_motion():
         )
         moved = coords @ rot.T + np.array([5.0, -3.0])
         cfg = ClusteringConfig(radius=radius)
-        before = build_adjacency(PointSet.from_coords(coords), cfg).to_array()
-        after = build_adjacency(PointSet.from_coords(moved), cfg).to_array()
+        before = build_adjacency(PointSet(coords), cfg).to_array()
+        after = build_adjacency(PointSet(moved), cfg).to_array()
         assert np.array_equal(before, after)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from radclust.clustering import build_cluster_table, cluster_pointset
-from radclust.geometry import ClusteringConfig, Point, PointSet
+from radclust.geometry import ClusteringConfig, PointSet
 from radclust.io import (
     EARTH_RADIUS_M,
     cluster_payload,
@@ -27,7 +27,7 @@ from radclust.trajectory import ClusterEvent, Frame, cluster_frames, synthetic_m
 
 
 def test_points_csv_round_trip(tmp_path):
-    ps = PointSet.from_coords([[0.0, 1.5], [2.25, -3.0], [0.1, 0.2]])
+    ps = PointSet([[0.0, 1.5], [2.25, -3.0], [0.1, 0.2]])
     path = str(tmp_path / "pts.csv")
     write_points_csv(ps, path)
     back = read_points_csv(path)
@@ -36,9 +36,7 @@ def test_points_csv_round_trip(tmp_path):
 
 
 def test_points_csv_round_trip_string_ids_and_3d(tmp_path):
-    ps = PointSet(
-        [Point("alpha", (0.0, 0.0, 1.0)), Point("beta", (1.0, 2.0, 3.0))]
-    )
+    ps = PointSet([(0.0, 0.0, 1.0), (1.0, 2.0, 3.0)], ["alpha", "beta"])
     path = str(tmp_path / "pts.csv")
     write_points_csv(ps, path)
     back = read_points_csv(path)
@@ -182,7 +180,7 @@ def test_trajectory_csv_bad_header(tmp_path):
 def test_equirect_projection_scales_longitude_by_latitude():
     frame = Frame(
         t=0.0,
-        points=PointSet([Point(0, (45.0, 0.0)), Point(1, (45.0, 0.001))]),
+        points=PointSet([(45.0, 0.0), (45.0, 0.001)]),
     )
     (projected,) = project_equirect([frame])
     dx = projected.points.coords[1, 0] - projected.points.coords[0, 0]
@@ -194,8 +192,8 @@ def test_equirect_projection_scales_longitude_by_latitude():
 
 def test_equirect_projection_centers_on_first_frame():
     frames = [
-        Frame(t=0.0, points=PointSet([Point(0, (10.0, 20.0)), Point(1, (10.002, 20.0))])),
-        Frame(t=1.0, points=PointSet([Point(0, (10.0, 20.0)), Point(1, (10.002, 20.0))])),
+        Frame(t=0.0, points=PointSet([(10.0, 20.0), (10.002, 20.0)])),
+        Frame(t=1.0, points=PointSet([(10.0, 20.0), (10.002, 20.0)])),
     ]
     projected = project_equirect(frames)
     centroid0 = projected[0].points.coords.mean(axis=0)
@@ -206,7 +204,7 @@ def test_equirect_projection_centers_on_first_frame():
 
 
 def test_equirect_requires_two_columns():
-    frame = Frame(t=0.0, points=PointSet([Point(0, (1.0, 2.0, 3.0))]))
+    frame = Frame(t=0.0, points=PointSet([(1.0, 2.0, 3.0)]))
     with pytest.raises(ValueError, match="2 coordinate columns"):
         project_equirect([frame])
 
@@ -217,7 +215,7 @@ def test_equirect_requires_two_columns():
 
 
 def test_cluster_payload_schema_and_key_order():
-    ps = PointSet.from_coords([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
+    ps = PointSet([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
     lv, table = cluster_pointset(ps, ClusteringConfig(radius=1.5))
     payload = cluster_payload(1.5, lv, table)
     assert list(payload) == ["radius", "n", "labels", "clusters"]
@@ -274,7 +272,7 @@ def test_write_json_format(tmp_path):
 
 def test_build_cluster_table_payload_consistency():
     # color strings in the payload follow the ranking, not the label number
-    ps = PointSet.from_coords(
+    ps = PointSet(
         [[0.0, 0.0], [20.0, 0.0], [20.0, 1.0], [20.0, 2.0], [40.0, 0.0], [40.0, 1.0]]
     )
     lv, table = cluster_pointset(ps, ClusteringConfig(radius=1.5))

@@ -12,7 +12,7 @@ _SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _clustered(coords, radius):
-    ps = PointSet.from_coords(coords)
+    ps = PointSet(coords)
     lv, table = cluster_pointset(ps, ClusteringConfig(radius=radius))
     return ps, lv, table
 
@@ -45,7 +45,7 @@ def test_svg_output_is_deterministic():
 
 
 def test_svg_rejects_non_planar_points():
-    ps = PointSet.from_coords([[0.0, 0.0, 0.0]])
+    ps = PointSet([[0.0, 0.0, 0.0]])
     lv, table = cluster_pointset(ps, ClusteringConfig(radius=1.0))
     with pytest.raises(ValueError, match="2-d"):
         render_points_svg(ps, lv, table)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radclust.clustering import cluster_pointset
-from radclust.geometry import ClusteringConfig, Point, PointSet
+from radclust.geometry import ClusteringConfig, PointSet
 from radclust.trajectory import (
     MOTORCADE_RADIUS,
     ClusterEvent,
@@ -15,9 +15,7 @@ from radclust.trajectory import (
 
 
 def _frame(t, rows, ids=None):
-    coords = np.asarray(rows, dtype=float)
-    ids = list(range(len(coords))) if ids is None else ids
-    return Frame(t=float(t), points=PointSet([Point(i, c) for i, c in zip(ids, coords)]))
+    return Frame(t=float(t), points=PointSet(rows, ids))
 
 
 def _pair_frames(ts, gap_by_t):
