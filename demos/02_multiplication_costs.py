@@ -19,8 +19,8 @@ from radclust import (
     ClusteringConfig,
     PointSet,
     build_adjacency,
-    cluster_labels,
     make_power_plan,
+    mask_labels,
     power_fast,
     power_naive_oracle,
 )
@@ -43,7 +43,7 @@ def main() -> None:
     adjacency = build_adjacency(ps, ClusteringConfig(radius=0.16))
     g_fast, mults = power_fast(adjacency)
     g_slow = power_naive_oracle(adjacency)
-    same = cluster_labels(g_fast) == cluster_labels(g_slow)
+    same = mask_labels(g_fast) == mask_labels(g_slow)
     print(f"\n60 random points: squared power used {mults} products,")
     print(f"sequential used {make_power_plan(60).naive_mults}; same partition: {same}")
 

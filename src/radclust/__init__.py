@@ -1,17 +1,19 @@
 """Shape- and centroid-independent clustering on radius graphs.
 
 Points are joined into a graph whose edges connect pairs closer than a radius
-``r``; the graph's connected components are the clusters, found by raising
-the adjacency matrix to a covering power with repeated boolean squaring and
-then labeling nodes through row masks.  No centroids, no preset cluster
-count, no shape assumptions: a ring, a chain and a blob are each one cluster
-as long as their points stay chained within ``r``.
+``r``; the graph's connected components are the clusters, labeled straight
+from the adjacency matrix by hooking and pointer jumping.  The paper's
+route, a covering matrix power by repeated boolean squaring read through row
+masks, gives the same partition and stays as the reference.  No centroids,
+no preset cluster count, no shape assumptions: a ring, a chain and a blob
+are each one cluster as long as their points stay chained within ``r``.
 
 Modules:
 
 * ``geometry``   the ``PointSet`` container, radius-graph adjacency
 * ``matpower``   boolean matrix powers by repeated squaring, plus oracles
-* ``clustering`` mask labeling, components oracle, size-ranked tables
+* ``clustering`` component labels, mask labels, components oracle,
+  size-ranked tables
 * ``scenarios``  deterministic synthetic scene generators
 * ``trajectory`` per-frame clustering and split/merge events
 * ``svgplot``    deterministic SVG scatter plots
@@ -27,6 +29,7 @@ from .clustering import (
     cluster_labels,
     cluster_pointset,
     connected_components_oracle,
+    mask_labels,
 )
 from .geometry import (
     ClusteringConfig,
@@ -112,6 +115,7 @@ __all__ = [
     "frames_payload",
     "generate",
     "make_power_plan",
+    "mask_labels",
     "power_fast",
     "power_naive_oracle",
     "project_equirect",

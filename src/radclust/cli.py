@@ -10,7 +10,8 @@ Four commands:
   repeated-squaring power methods over a list of sizes.
 
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.  Every
-error path prints a single ``error: ...`` line to stderr.
+error path prints a single ``error: ...`` line to stderr, and a failed run
+leaves none of the output files it created.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import sys
 import time
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .clustering import cluster_labels, cluster_pointset
+from .clustering import cluster_pointset, mask_labels
 from .geometry import ClusteringConfig, PointSet, build_adjacency
 from .io import (
     cluster_payload,
@@ -126,15 +129,51 @@ def _check_svg(args, ps: PointSet) -> None:
         raise ValueError(f"--svg needs 2-d points, got d={ps.dimension}")
 
 
+def _remove(path: str) -> None:
+    with suppress(OSError):
+        if os.path.isdir(path) and not os.path.islink(path):
+            shutil.rmtree(path)
+        else:
+            os.remove(path)
+
+
+@contextmanager
+def _removed_on_error(*paths):
+    """Delete the outputs a failing block created under ``paths``.
+
+    A path that did not exist before the block is deleted whole (a directory
+    with everything in it); from a directory that did exist, only the
+    entries the block added are deleted.  Files that existed stay.
+    """
+    before = {}
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            before[path] = set(os.listdir(path))
+        elif not os.path.lexists(path):
+            before[path] = None
+    try:
+        yield
+    except BaseException:
+        for path, entries in before.items():
+            if entries is None:
+                _remove(path)
+                continue
+            with suppress(OSError):
+                for name in set(os.listdir(path)) - entries:
+                    _remove(os.path.join(path, name))
+        raise
+
+
 def _cmd_cluster(args) -> None:
     cfg = ClusteringConfig(radius=args.radius)
     ps = read_points_csv(args.input)
     _check_svg(args, ps)
     lv, table = cluster_pointset(ps, cfg)
-    write_json(cluster_payload(cfg.radius, lv, table), args.out)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(render_points_svg(ps, lv, table))
+    with _removed_on_error(args.out, args.svg):
+        write_json(cluster_payload(cfg.radius, lv, table), args.out)
+        if args.svg:
+            with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(render_points_svg(ps, lv, table))
 
 
 _PARAM_RE = re.compile(r"(?P<key>[A-Za-z_][A-Za-z0-9_]*)=(?P<value>.+)\Z")
@@ -178,10 +217,11 @@ def _cmd_trajectory(args) -> None:
     _check_svg(args, frames[0].points)
     results = cluster_frames(frames, cfg)
     events = detect_events(results, frames)
-    write_json(frames_payload(cfg.radius, frames, results), args.out)
-    write_json(events_payload(events), events_path)
-    if args.svg:
-        render_frames_svg(frames, results, args.svg)
+    with _removed_on_error(args.out, events_path, args.svg):
+        write_json(frames_payload(cfg.radius, frames, results), args.out)
+        write_json(events_payload(events), events_path)
+        if args.svg:
+            render_frames_svg(frames, results, args.svg)
 
 
 def _parse_bench_ns(raw: str) -> list[int]:
@@ -225,7 +265,7 @@ def _cmd_bench(args) -> None:
         if n <= NAIVE_BENCH_LIMIT:
             g_naive = power_naive_oracle(adjacency)
             record["partitions_match"] = bool(
-                cluster_labels(g_fast) == cluster_labels(g_naive)
+                mask_labels(g_fast) == mask_labels(g_naive)
             )
         if args.timing:
             record["wall_seconds"] = wall

@@ -1,25 +1,40 @@
-"""Mask-based cluster labeling and size-ranked cluster tables.
+"""Connected-component labels and size-ranked cluster tables.
 
-The paper labels by a mask scan: walk the node indices once; each
-still-unlabeled node becomes the seed of a fresh cluster, its row of the
-power matrix becomes the mask, and any later unlabeled node whose own row
-shares at least one set bit with the mask joins the cluster.  Because the
-power matrix covers at least ``floor(n / 2)`` hops, two nodes of the same
-radius-graph component always see each other through a common mid-path
-node, and nodes of different components never overlap, so rows i and j
-share a set bit exactly when i and j are in the same component and the
-produced partition is exactly the connected components.
+The clusters are the connected components of the radius graph.  The paper
+reaches them through a covering matrix power (see ``matpower``) read by a
+mask scan; ``cluster_labels`` finds the same components straight from the
+adjacency matrix, with no matrix product.  Any power ``A**e`` (``e >= 1``)
+of a symmetric adjacency with a set diagonal has the components of ``A``
+itself, so both routes give one partition.
 
-``cluster_labels`` computes the same labels without the scan.  For each
-column t, ``first[t]`` is the lowest row with bit t set.  The lowest row
-sharing a bit with row j is then ``seed[j] = min(first[t])`` over the set
-bits t of row j.  By the midpoint argument above that is the lowest index
-of j's component: the very seed whose mask labels j in the scan.  Ranking
-the distinct seeds densely gives the scan's labels.
+``cluster_labels`` runs min-label hooking with pointer jumping (Shiloach &
+Vishkin 1982) on a forest of parent pointers, in rounds.  At the start of a
+round every tree is a star: each node points at its tree's root, the lowest
+index in the tree.  One pass over the matrix rows gives each node the lowest
+root among its neighbours, and each root whose star sees a lower root hooks
+onto the lowest one it sees.  Hooks only go to lower roots, so no cycle can
+form.  Pointer jumping then turns every tree back into a star.  A round
+with no hook ends the loop; every component is then one star rooted at its
+lowest index.  On a covering power, where each component is a clique, the
+first round finishes the work and the second finds nothing to hook.
+
+Round bound: a star that still has a neighbour outside it either sees a
+lower root and hooks, or sees only higher roots.  In the second case each
+of those neighbouring stars sees its root and hooks, onto it or onto a root
+lower still, so the star either gains a child in this round or sees a lower
+root, and hooks, in the next.  Over any two rounds every star of an
+unfinished component thus merges with another, and the component's star
+count at least halves.  Starting from n one-node stars, at most
+``2 floor(log2 n)`` rounds hook and one more finds nothing to hook: at most
+``2 floor(log2 n) + 1`` rounds in all.  Each round reads the ``n x n``
+matrix once, in row blocks of a fixed budget, so the step costs
+``O(n**2 log n)`` time in the worst case and never holds more than one
+block's temporary.
 
 Label numbers are dense, starting at 1, in order of each cluster's
-lowest-index node.  ``connected_components_oracle`` computes the same
-partition by plain graph traversal and serves as independent ground truth.
+lowest-index node.  ``mask_labels`` keeps the paper's mask scan for checking
+the power method, and ``connected_components_oracle`` computes the partition
+by plain graph traversal as independent ground truth.
 """
 
 from __future__ import annotations
@@ -29,13 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ClusteringConfig, PointSet, build_adjacency
-from .matpower import BinaryMatrix, power_fast
+from .geometry import _CHUNK_ELEMENTS, ClusteringConfig, PointSet, build_adjacency
+from .matpower import BinaryMatrix
 
 __all__ = [
     "LabelVector",
     "ClusterTable",
     "cluster_labels",
+    "mask_labels",
     "connected_components_oracle",
     "build_cluster_table",
     "cluster_pointset",
@@ -117,13 +133,84 @@ class ClusterTable:
         return tuple(self.frequencies[c] for c in self.ranking)
 
 
-def cluster_labels(g: BinaryMatrix) -> LabelVector:
-    """Assign cluster labels from the (binarized) power matrix ``g``.
+def _row_max(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Largest ``values[t]`` over the set bits t of each row of ``bits``.
 
-    Each node is labeled by the lowest row that shares a set bit with its
-    own row, which is the seed the paper's mask scan would label it from;
-    distinct seeds are numbered 1, 2, ... in index order (see the module
-    docstring).
+    Rows are read in blocks of about ``_CHUNK_ELEMENTS`` entries, so the
+    temporary stays small at any n.  Multiplying by the 0/1 row (0 where no
+    bit is set) instead of selecting with ``np.where`` keeps the inner loop
+    free of branches, several times faster on irregular rows.
+    """
+    n = bits.shape[0]
+    step = max(1, _CHUNK_ELEMENTS // n)
+    out = np.empty(n, dtype=values.dtype)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        out[block] = (bits[block] * values).max(axis=1)
+    return out
+
+
+def _component_roots(bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """Hook stars onto lower roots until none can (see the module docstring).
+
+    Returns ``roots``, where ``roots[v]`` is the lowest index in v's
+    component, and the number of rounds run, at most ``2 floor(log2 n) + 1``.
+    """
+    n = bits.shape[0]
+    # Node indices and n itself fit the narrowest unsigned dtype.
+    dtype = np.min_scalar_type(n)
+    top = dtype.type(n)
+    roots = np.arange(n, dtype=dtype)
+    rounds = 0
+    while True:
+        rounds += 1
+        # The lowest root among each node's neighbours, as n minus the
+        # highest n - root.
+        low = top - _row_max(bits, top - roots)
+        hooks = low < roots
+        if not hooks.any():
+            return roots, rounds
+        np.minimum.at(roots, roots[hooks], low[hooks])
+        while True:
+            jumped = roots[roots]
+            if np.array_equal(jumped, roots):
+                break
+            roots = jumped
+
+
+def cluster_labels(g: BinaryMatrix) -> LabelVector:
+    """Label the connected components of the graph of ``g``.
+
+    ``g`` is a radius-graph adjacency or any power of one: symmetric with a
+    set diagonal.  Components are found by hooking and pointer jumping
+    with no matrix product (see the module docstring) and numbered 1, 2, ...
+    in order of their lowest-index node.
+    """
+    bits = g.bits
+    if not bits.any(axis=1).all():
+        raise ValueError("matrix has an all-zero row")
+    roots, _ = _component_roots(bits)
+    _, labels = np.unique(roots, return_inverse=True)
+    return LabelVector(labels + 1)
+
+
+def mask_labels(g: BinaryMatrix) -> LabelVector:
+    """The paper's mask-scan labels of a power matrix, in one vectorised pass.
+
+    The scan walks the nodes in index order; each still-unlabeled node seeds
+    a new cluster whose mask is its row, and every later unlabeled node
+    whose row shares a set bit with the mask joins it.  When ``g`` covers at
+    least ``floor(n / 2)`` hops, rows i and j share a bit exactly when i and
+    j are in one component, so the lowest row sharing a bit with row j is
+    the lowest index of j's component: the seed the scan labels j from.
+    This computes that row for every j at once: ``first[t]`` is the lowest
+    row with bit t set and ``seed[j]`` the least ``first[t]`` over row j's
+    bits; distinct seeds are ranked densely.
+
+    On an under-powered matrix the result need not be the components: a
+    component longer than the matrix's reach can split.  That keeps the
+    paper's exponent claim testable (``radclust bench``, the acceptance
+    tests); ``cluster_labels`` is the clustering path.
     """
     bits = g.bits
     if not bits.any(axis=1).all():
@@ -175,14 +262,11 @@ def build_cluster_table(lv: LabelVector) -> ClusterTable:
 def cluster_pointset(
     ps: PointSet, cfg: ClusteringConfig
 ) -> tuple[LabelVector, ClusterTable]:
-    """Full pipeline: adjacency -> matrix power -> labels -> cluster table.
+    """Full pipeline: adjacency -> component labels -> cluster table.
 
-    The semiring power is already 0/1, so no separate binarize pass is needed.
     Deterministic in the input order.
     """
-    adjacency = build_adjacency(ps, cfg)
-    g, _ = power_fast(adjacency)
-    lv = cluster_labels(g)
+    lv = cluster_labels(build_adjacency(ps, cfg))
     return lv, build_cluster_table(lv)
 
 

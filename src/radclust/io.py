@@ -5,7 +5,9 @@ coordinate column.  Trajectory CSV: header ``t,id,x,y[,...]``, rows grouped
 by non-decreasing timestamp; every timestamp group must contain the same ids.
 
 The id column is parsed as integers when every value in the file is an
-integer literal, otherwise all ids stay strings; the column-level rule keeps
+integer in canonical form (``7``, ``-3``; not ``07``, ``+7`` or ``-0``),
+otherwise all ids stay strings.  Only canonical forms map one to one onto
+integers, so distinct raw ids stay distinct; the column-level rule keeps
 ids mutually comparable for deterministic event ordering.
 
 All output is UTF-8 with LF line endings and fixed key order, so identical
@@ -41,7 +43,7 @@ __all__ = [
 
 EARTH_RADIUS_M = 6371000.0
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+_INT_RE = re.compile(r"-?[1-9][0-9]*\Z|0\Z")
 
 
 def _parse_ids(raw_ids: list[str]) -> list:

@@ -1,4 +1,12 @@
-"""Boolean matrix powers via repeated squaring.
+"""Boolean matrix powers via repeated squaring: the paper's method.
+
+The paper reaches the radius graph's components through a covering power of
+its adjacency matrix.  ``radclust cluster`` and ``trajectory`` do not take
+this route: ``clustering.cluster_labels`` labels the components
+straight from the adjacency in ``O(n**2 log n)``, against ``O(n**3 log n)``
+here.  The power stays as the paper's reference: ``radclust bench`` and the
+acceptance tests check the paper's exponent claim with it, and the tests
+hold the component labels to its partition.
 
 All products here live in the Boolean semiring: addition is OR, multiplication
 is AND.  For 0/1 matrices this has exactly the same support as the integer

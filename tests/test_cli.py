@@ -176,6 +176,37 @@ def test_cluster_svg_of_3d_points_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not svg.exists()
 
 
+def test_cluster_unwritable_svg_leaves_no_labels(tmp_path, capsys):
+    inp = str(tmp_path / "chain.csv")
+    _write_chain_csv(inp)
+    out = tmp_path / "labels.json"
+    svg = tmp_path / "nodir" / "plot.svg"
+    code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", str(out), "--svg", str(svg)])
+    assert code == 1
+    assert "nodir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv"]
+
+
+def test_cluster_unwritable_svg_keeps_a_labels_file_it_did_not_create(tmp_path):
+    inp = str(tmp_path / "chain.csv")
+    _write_chain_csv(inp)
+    out = tmp_path / "labels.json"
+    out.write_text("old")
+    svg = tmp_path / "nodir" / "plot.svg"
+    code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", str(out), "--svg", str(svg)])
+    assert code == 1
+    assert out.exists()
+
+
+def test_cluster_accepts_ids_equal_as_integers(tmp_path):
+    # "1" and "01" are different ids; they used to collapse into one.
+    inp = tmp_path / "pts.csv"
+    inp.write_text("id,x,y\n1,0,0\n01,5,0\n")
+    out = str(tmp_path / "labels.json")
+    assert main(["cluster", "--input", str(inp), "--radius", "1", "--out", out]) == 0
+    assert _read_json(out)["labels"] == [1, 2]
+
+
 def test_usage_error_exits_one(tmp_path, capsys):
     assert main(["cluster", "--radius", "1"]) == 1  # --input/--out missing
     assert "error:" in capsys.readouterr().err
@@ -309,6 +340,79 @@ def test_trajectory_svg_of_3d_points_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert "--svg needs 2-d points, got d=3" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
+
+
+def test_trajectory_unwritable_events_leaves_no_frames(tmp_path, capsys, motorcade_csv):
+    run = tmp_path / "run"
+    run.mkdir()
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", str(run / "frames.json"), "--events", str(run / "nodir" / "events.json"),
+        ]
+    )
+    assert code == 1
+    assert "nodir" in capsys.readouterr().err
+    assert list(run.iterdir()) == []
+
+
+def test_trajectory_unusable_svg_dir_leaves_no_json(tmp_path, motorcade_csv):
+    run = tmp_path / "run"
+    run.mkdir()
+    blocker = run / "plots"
+    blocker.write_text("not a directory")
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", str(run / "frames.json"), "--svg", str(blocker),
+        ]
+    )
+    assert code == 1
+    assert [p.name for p in run.iterdir()] == ["plots"]
+    assert blocker.read_text() == "not a directory"
+
+
+def test_trajectory_failed_frame_svg_removes_what_the_run_wrote(tmp_path, motorcade_csv):
+    # The second frame's SVG path is taken by a directory, so the run fails
+    # after writing both JSONs and the first frame's SVG.
+    run = tmp_path / "run"
+    svg_dir = run / "plots"
+    (svg_dir / "frame_0001.svg").mkdir(parents=True)
+    (svg_dir / "keep.txt").write_text("mine")
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", str(run / "frames.json"), "--svg", str(svg_dir),
+        ]
+    )
+    assert code == 1
+    assert [p.name for p in run.iterdir()] == ["plots"]
+    assert sorted(p.name for p in svg_dir.iterdir()) == ["frame_0001.svg", "keep.txt"]
+
+
+def test_trajectory_failed_frame_svg_removes_a_new_svg_dir(tmp_path, monkeypatch, motorcade_csv):
+    import radclust.svgplot as svgplot
+
+    render = svgplot.render_points_svg
+    calls = []
+
+    def failing_third_frame(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(svgplot, "render_points_svg", failing_third_frame)
+    run = tmp_path / "run"
+    run.mkdir()
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", str(run / "frames.json"), "--svg", str(run / "plots"),
+        ]
+    )
+    assert code == 1 and len(calls) == 3
+    assert list(run.iterdir()) == []
 
 
 def test_trajectory_writes_frame_svgs(tmp_path, motorcade_csv):

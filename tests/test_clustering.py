@@ -9,9 +9,10 @@ from radclust.clustering import (
     cluster_labels,
     cluster_pointset,
     connected_components_oracle,
+    mask_labels,
 )
 from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
-from radclust.matpower import BinaryMatrix, power_fast, power_naive_oracle
+from radclust.matpower import BinaryMatrix, bool_multiply, power_fast, power_naive_oracle
 from radclust.scenarios import blob_points, chain_points, ring_points
 
 from helpers import chain_bits, partition_sets, random_adjacency
@@ -42,6 +43,16 @@ def test_labels_match_component_oracle_on_random_points():
         a = build_adjacency(ps, cfg)
         g, _ = power_fast(a)
         assert cluster_labels(g) == connected_components_oracle(a)
+
+
+def test_mask_labels_split_an_under_powered_chain():
+    # One squaring reaches 2 hops, short of the 6 a 12-node chain needs: the
+    # mask scan then splits the chain, while its components stay whole.
+    a = BinaryMatrix(chain_bits(12))
+    under = bool_multiply(a, a)
+    assert mask_labels(under).labels.tolist() == [1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8]
+    assert cluster_labels(under).labels.tolist() == [1] * 12
+    assert mask_labels(power_fast(a)[0]).labels.tolist() == [1] * 12
 
 
 def test_labels_reject_zero_rows():
@@ -190,7 +201,7 @@ def test_naive_and_fast_powers_give_identical_partitions():
         a = BinaryMatrix(random_adjacency(rng, n, 0.06))
         fast_g, _ = power_fast(a)
         naive_g = power_naive_oracle(a)
-        assert cluster_labels(fast_g) == cluster_labels(naive_g)
+        assert mask_labels(fast_g) == mask_labels(naive_g)
 
 
 def test_cluster_table_is_frozen():

@@ -1,19 +1,22 @@
-"""Differential tests of the dense path against plain reference expressions.
+"""Differential tests of the fast paths against plain reference expressions.
 
 Each rewritten stage is held bit-equal to a straightforward reference: the
 unchunked broadcast distance expression for the adjacency, ``m`` plain
-squarings for the power, and the paper's mask scan plus the BFS oracle for
-the labels.
+squarings for the power, and the paper's mask scan of the power plus the
+BFS oracle for the component labels.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radclust.clustering as clustering
 import radclust.geometry as geometry
 import radclust.matpower as matpower
-from radclust.clustering import cluster_labels, connected_components_oracle
+from radclust.clustering import cluster_labels, connected_components_oracle, mask_labels
 from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
 from radclust.matpower import BinaryMatrix, bool_multiply, make_power_plan, power_fast
 
@@ -53,9 +56,14 @@ def chunk_rows(n, d):
     return max(1, geometry._CHUNK_ELEMENTS // (n * d))
 
 
-def random_coords(seed, n, d, duplicates):
+def random_coords(seed, n, d, duplicates, collinear=False):
     rng = np.random.default_rng(seed)
-    coords = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
+    if collinear:
+        # Points on one line through a random offset, in random order.
+        along = rng.normal(size=(n, 1)) * rng.choice([1e-3, 1.0, 1e3])
+        coords = rng.normal(size=d) + along * rng.normal(size=d)
+    else:
+        coords = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
     if duplicates and n >= 2:
         coords[rng.integers(n, size=n // 2)] = coords[0]
     return coords
@@ -198,7 +206,7 @@ def test_float32_product_is_exact_at_full_count():
 
 
 # ---------------------------------------------------------------------------
-# Vectorised labels
+# Component labels and mask labels
 # ---------------------------------------------------------------------------
 
 
@@ -220,6 +228,8 @@ def test_labels_match_mask_scan_and_oracle(bits):
     lv = cluster_labels(g)
     assert np.array_equal(lv.labels, mask_scan_labels(g.bits))
     assert lv == connected_components_oracle(a)
+    assert mask_labels(g) == lv
+    assert cluster_labels(a) == lv
 
 
 def test_labels_match_mask_scan_and_oracle_on_random_instances():
@@ -234,3 +244,106 @@ def test_labels_match_mask_scan_and_oracle_on_random_instances():
         lv = cluster_labels(g)
         assert np.array_equal(lv.labels, mask_scan_labels(g.bits))
         assert lv == connected_components_oracle(a)
+        assert mask_labels(g) == lv
+        assert cluster_labels(a) == lv
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.sampled_from([1, 2, 3, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.integers(1, 400),
+    duplicates=st.booleans(),
+    collinear=st.booleans(),
+)
+def test_component_labels_match_oracle_and_mask_scan_property(
+    n, d, seed, budget, duplicates, collinear
+):
+    coords = random_coords(seed, n, d, duplicates, collinear)
+    ps = PointSet(coords)
+    saved = clustering._CHUNK_ELEMENTS
+    clustering._CHUNK_ELEMENTS = budget
+    try:
+        for r in boundary_radii(coords):
+            a = build_adjacency(ps, ClusteringConfig(r))
+            lv = cluster_labels(a)
+            assert lv == connected_components_oracle(a)
+            g, _ = power_fast(a)
+            assert np.array_equal(lv.labels, mask_scan_labels(g.bits))
+    finally:
+        clustering._CHUNK_ELEMENTS = saved
+
+
+def path_bits(n, *orders):
+    """Paths through the nodes of each order in turn, with a set diagonal."""
+    bits = np.eye(n, dtype=bool)
+    for order in orders:
+        bits[order[:-1], order[1:]] = bits[order[1:], order[:-1]] = True
+    return bits
+
+
+def adversarial_case(name, n):
+    """A graph whose index order is hard for min-label propagation, and its labels.
+
+    A path in reversed index order is the same graph as ``path``.
+    """
+    rng = np.random.default_rng(n)
+    if name == "path":
+        return path_bits(n, np.arange(n)), [1] * n
+    if name == "shuffled":
+        return path_bits(n, rng.permutation(n)), [1] * n
+    if name == "zigzag":
+        # 0, n-1, 1, n-2, ...: every other step jumps across the index range.
+        order = np.empty(n, dtype=int)
+        order[0::2] = np.arange((n + 1) // 2)
+        order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+        return path_bits(n, order), [1] * n
+    if name == "star-largest-centre":
+        bits = np.eye(n, dtype=bool)
+        bits[n - 1] = bits[:, n - 1] = True
+        return bits, [1] * n
+    if name == "complete":
+        return np.ones((n, n), dtype=bool), [1] * n
+    if name == "interleaved-paths":
+        # Even and odd nodes form two paths, each in shuffled order.
+        evens, odds = np.arange(0, n, 2), np.arange(1, n, 2)
+        bits = path_bits(n, rng.permutation(evens), rng.permutation(odds))
+        return bits, [1, 2] * (n // 2) + [1] * (n % 2)
+    raise ValueError(name)
+
+
+ADVERSARIAL = [
+    "path",
+    "shuffled",
+    "zigzag",
+    "star-largest-centre",
+    "complete",
+    "interleaved-paths",
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_component_labels_on_adversarial_orders(name, n):
+    bits, expected = adversarial_case(name, n)
+    _, rounds = clustering._component_roots(bits)
+    assert rounds <= 2 * n.bit_length() - 1  # 2 floor(log2 n) + 1
+    lv = cluster_labels(BinaryMatrix(bits))
+    assert lv.labels.tolist() == expected
+    if n <= 64:
+        assert lv == connected_components_oracle(BinaryMatrix(bits))
+
+
+def test_component_labels_peak_memory_on_complete_graph():
+    # Row blocks keep the label step's temporaries far below the n x n
+    # uint16 array (7.6 MiB here) the mask-scan labels need.
+    a = BinaryMatrix(np.ones((2000, 2000), dtype=bool))
+    tracemalloc.start()
+    try:
+        lv = cluster_labels(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lv.labels.tolist() == [1] * 2000
+    assert peak <= 2**20

@@ -58,6 +58,27 @@ def test_points_csv_mixed_ids_become_strings(tmp_path):
     assert read_points_csv(str(path)).ids == ("7", "a")
 
 
+def test_points_csv_canonical_int_ids_stay_ints(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("id,x,y\n0,0.0,0.0\n-3,1.0,1.0\n10,2.0,2.0\n")
+    assert read_points_csv(str(path)).ids == (0, -3, 10)
+
+
+@pytest.mark.parametrize("other", ["01", "+1", "\u0661"])
+def test_points_csv_ids_equal_as_integers_stay_distinct(tmp_path, other):
+    # int() maps each of these to 1 as well; they must stay separate ids.
+    path = tmp_path / "pts.csv"
+    path.write_text(f"id,x,y\n1,0.0,0.0\n{other},1.0,1.0\n", encoding="utf-8")
+    assert read_points_csv(str(path)).ids == ("1", other)
+
+
+@pytest.mark.parametrize("token", ["-0", "00", "007"])
+def test_points_csv_non_canonical_int_ids_stay_strings(tmp_path, token):
+    path = tmp_path / "pts.csv"
+    path.write_text(f"id,x,y\n{token},0.0,0.0\n5,1.0,1.0\n")
+    assert read_points_csv(str(path)).ids == (token, "5")
+
+
 def test_points_csv_bad_header(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("node,x,y\n0,0.0,0.0\n")
@@ -141,6 +162,19 @@ def test_trajectory_csv_groups_consecutive_rows(tmp_path):
     frames = read_trajectory_csv(str(path))
     assert [f.t for f in frames] == [0.0, 2.5]
     assert frames[1].points.ids == (0, 1)
+
+
+def test_trajectory_csv_ids_equal_as_integers_stay_distinct(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,id,x,y\n0,1,0.0,0.0\n0,01,5.0,0.0\n1,1,0.5,0.0\n1,01,5.5,0.0\n")
+    frames = read_trajectory_csv(str(path))
+    assert [f.points.ids for f in frames] == [("1", "01"), ("1", "01")]
+
+
+def test_trajectory_csv_canonical_int_ids_stay_ints(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,id,x,y\n0,-2,0.0,0.0\n0,0,5.0,0.0\n")
+    assert read_trajectory_csv(str(path))[0].points.ids == (-2, 0)
 
 
 def test_trajectory_csv_accepts_utf8_bom(tmp_path):
