@@ -17,14 +17,11 @@ green, rank 3 blue) and the labels JSON.
 
 import pathlib
 
-from radclust import (
-    ClusteringConfig,
-    cluster_payload,
-    cluster_pointset,
-    render_points_svg,
-    shape_showcase,
-    write_json,
-)
+from radclust.clustering import cluster_pointset
+from radclust.geometry import ClusteringConfig
+from radclust.io import cluster_payload, write_json
+from radclust.scenarios import shape_showcase
+from radclust.svgplot import render_points_svg
 
 OUT = pathlib.Path(__file__).parent / "out"
 RADIUS = 1.0

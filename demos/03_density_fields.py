@@ -14,14 +14,10 @@ Writes one SVG per density level into demos/out/.
 
 import pathlib
 
-from radclust import (
-    DENSITY_PER_DISK,
-    ClusteringConfig,
-    cluster_pointset,
-    field_side,
-    render_points_svg,
-    uniform_random_points,
-)
+from radclust.clustering import cluster_pointset
+from radclust.geometry import ClusteringConfig
+from radclust.scenarios import DENSITY_PER_DISK, field_side, uniform_random_points
+from radclust.svgplot import render_points_svg
 
 OUT = pathlib.Path(__file__).parent / "out"
 N = 300

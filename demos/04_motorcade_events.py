@@ -16,17 +16,14 @@ a handful of frame SVGs into demos/out/.
 
 import pathlib
 
-from radclust import (
+from radclust.geometry import ClusteringConfig
+from radclust.io import events_payload, frames_payload, write_json, write_trajectory_csv
+from radclust.svgplot import render_points_svg
+from radclust.trajectory import (
     MOTORCADE_RADIUS,
-    ClusteringConfig,
     cluster_frames,
     detect_events,
-    events_payload,
-    frames_payload,
-    render_points_svg,
     synthetic_motorcade,
-    write_json,
-    write_trajectory_csv,
 )
 
 OUT = pathlib.Path(__file__).parent / "out"

@@ -39,7 +39,7 @@ from .io import (
     write_points_csv,
 )
 from .matpower import make_power_plan, power_fast, power_naive_oracle
-from .scenarios import SCENARIO_KINDS, ScenarioSpec, generate
+from .scenarios import SCENARIO_KINDS, generate
 from .svgplot import render_frames_svg, render_points_svg
 from .trajectory import cluster_frames, detect_events
 
@@ -129,6 +129,19 @@ def _check_svg(args, ps: PointSet) -> None:
         raise ValueError(f"--svg needs 2-d points, got d={ps.dimension}")
 
 
+def _check_distinct_outputs(**paths) -> None:
+    """Refuse two outputs, keyed by flag, on one file; call before writing."""
+    seen = {}
+    for flag, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(
+                    f"--{seen[real]} and --{flag} name the same file {path!r}"
+                )
+            seen[real] = flag
+
+
 def _remove(path: str) -> None:
     with suppress(OSError):
         if os.path.isdir(path) and not os.path.islink(path):
@@ -165,6 +178,7 @@ def _removed_on_error(*paths):
 
 
 def _cmd_cluster(args) -> None:
+    _check_distinct_outputs(out=args.out, svg=args.svg)
     cfg = ClusteringConfig(radius=args.radius)
     ps = read_points_csv(args.input)
     _check_svg(args, ps)
@@ -197,8 +211,8 @@ def _parse_params(items: list[str]) -> dict:
 
 
 def _cmd_generate(args) -> None:
-    spec = ScenarioSpec(kind=args.kind, params=_parse_params(args.param), seed=args.seed)
-    write_points_csv(generate(spec), args.out)
+    ps = generate(args.kind, _parse_params(args.param), args.seed)
+    write_points_csv(ps, args.out)
 
 
 def _cmd_trajectory(args) -> None:
@@ -206,11 +220,7 @@ def _cmd_trajectory(args) -> None:
     events_path = args.events or os.path.join(
         os.path.dirname(args.out) or ".", "events.json"
     )
-    if os.path.realpath(events_path) == os.path.realpath(args.out):
-        raise ValueError(
-            f"the frames and events outputs are the same file {args.out!r}; "
-            "pass --events with a different path"
-        )
+    _check_distinct_outputs(out=args.out, events=events_path, svg=args.svg)
     frames = read_trajectory_csv(args.input)
     if args.project == "equirect":
         frames = project_equirect(frames)

@@ -56,8 +56,6 @@ __all__ = [
     "build_cluster_table",
     "cluster_pointset",
     "cluster_color_names",
-    "RANK_COLOR_NAMES",
-    "EXTRA_COLOR_NAMES",
 ]
 
 # Ranks 1-3 are fixed; further clusters cycle through the extra palette.

@@ -23,6 +23,7 @@ range are rejected with ``ValueError`` instead of being clustered wrongly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -50,6 +51,11 @@ _SAFE_RANGE = f"[2**-500, 2**500] ({SCALE_MIN:.3g} to {SCALE_MAX:.3g})"
 # 512 KiB per temporary, small enough to stay in cache, unless a single row
 # (N x d) is larger.
 _CHUNK_ELEMENTS = 2**16
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class PointSet:
@@ -131,9 +137,18 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
     ``_CHUNK_ELEMENTS`` (or one row, if larger) instead of growing as
     N x N x d; each chunk uses the same distance expression, so the result
     is bit-identical.  Raises ``ValueError`` for a nonzero coordinate
-    magnitude outside ``[SCALE_MIN, SCALE_MAX]``.
+    magnitude outside ``[SCALE_MIN, SCALE_MAX]``, and, before allocating,
+    when the ``2 * N**2`` bytes of the boolean matrix and the copy
+    ``BinaryMatrix`` makes of it exceed physical memory.
     """
     coords = ps.coords
+    n, d = coords.shape
+    need, have = 2 * n * n, _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"{n} points need {need} bytes for the dense adjacency, more than "
+            f"the {have} bytes of physical memory"
+        )
     mag = np.abs(coords)
     bad = (mag != 0.0) & ((mag < SCALE_MIN) | (mag > SCALE_MAX))
     if bad.any():
@@ -142,7 +157,6 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
             f"point {ps.ids[i]!r}: coordinate {float(coords[i, k])!r} is outside "
             f"the safe magnitude range 0 or {_SAFE_RANGE}"
         )
-    n, d = coords.shape
     rows = max(1, _CHUNK_ELEMENTS // (n * d))
     bits = np.empty((n, n), dtype=bool)
     for start in range(0, n, rows):

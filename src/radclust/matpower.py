@@ -98,16 +98,15 @@ class PowerPlan:
     """Exponent bookkeeping for one matrix size.
 
     ``k`` is the chain-covering exponent ``floor(n / 2)``; ``m`` the number
-    of squarings needed to reach at least that exponent.  The two ``_mults``
-    fields count full matrix products: ``k - 1`` for the sequential method,
-    ``m`` for repeated squaring.
+    of squarings needed to reach at least that exponent, which is also the
+    number of full matrix products repeated squaring costs.
+    ``naive_mults`` counts the products of the sequential method, ``k - 1``.
     """
 
     n: int
     k: int
     m: int
     naive_mults: int
-    fast_mults: int
 
 
 def make_power_plan(n: int) -> PowerPlan:
@@ -121,7 +120,7 @@ def make_power_plan(n: int) -> PowerPlan:
     k = n // 2
     # ceil(log2(k)) in exact integer arithmetic; 0 for k in {0, 1}.
     m = (k - 1).bit_length() if k >= 1 else 0
-    return PowerPlan(n=n, k=k, m=m, naive_mults=max(k - 1, 0), fast_mults=m)
+    return PowerPlan(n=n, k=k, m=m, naive_mults=max(k - 1, 0))
 
 
 def bool_multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:

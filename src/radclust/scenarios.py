@@ -7,14 +7,13 @@ the expected partition is known by construction and can be checked against
 the pipeline and the components oracle.
 
 Stochastic kinds draw from ``numpy.random.default_rng`` (the PCG64 generator,
-seedable with a defined output sequence), so the same spec and seed reproduce
+seedable with a defined output sequence), so the same parameters and seed reproduce
 the same coordinates bit for bit on every platform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from .geometry import PointSet
 
 __all__ = [
-    "ScenarioSpec",
     "SCENARIO_KINDS",
     "DENSITY_PER_DISK",
     "generate",
@@ -205,37 +203,26 @@ _STOCHASTIC_KINDS = frozenset({"blob", "dense-core-with-scatter", "uniform-rando
 SCENARIO_KINDS = tuple(_BUILDERS)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A named scenario kind plus its parameters and, if stochastic, a seed."""
+def generate(
+    kind: str, params: dict[str, Any] | None = None, seed: int | None = None
+) -> PointSet:
+    """Build the scenario ``kind`` from its builder's keyword ``params``.
 
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-    seed: int | None = None
-
-
-def generate(spec: ScenarioSpec) -> PointSet:
-    """Build the point set a :class:`ScenarioSpec` describes.
-
-    Deterministic: the same (kind, params, seed) triple always yields
-    bit-identical coordinates.
+    ``seed`` reaches only the stochastic kinds.  The same (kind, params,
+    seed) triple always yields bit-identical coordinates.
     """
-    builder = _BUILDERS.get(spec.kind)
+    builder = _BUILDERS.get(kind)
     if builder is None:
         raise ValueError(
-            f"unknown scenario kind {spec.kind!r}; expected one of {', '.join(SCENARIO_KINDS)}"
+            f"unknown scenario kind {kind!r}; expected one of {', '.join(SCENARIO_KINDS)}"
         )
-    params = dict(spec.params)
-    if spec.kind in _STOCHASTIC_KINDS and spec.seed is not None:
-        params["seed"] = spec.seed
+    params = dict(params or {})
+    if kind in _STOCHASTIC_KINDS and seed is not None:
+        params["seed"] = seed
     try:
         return builder(**params)
     except TypeError as exc:
-        raise ValueError(f"scenario {spec.kind!r}: {exc}") from None
-
-
-def _translate(ps: PointSet, dx: float, dy: float) -> np.ndarray:
-    return ps.coords + np.array([dx, dy])
+        raise ValueError(f"scenario {kind!r}: {exc}") from None
 
 
 def shape_showcase(radius: float, seed: int = 0) -> PointSet:
@@ -258,7 +245,7 @@ def shape_showcase(radius: float, seed: int = 0) -> PointSet:
         chain_points(1, spacing=r),
     ]
     placed = [
-        _translate(g, 40.0 * r * (i % 4), 40.0 * r * (i // 4))
+        g.coords + np.array([40.0 * r * (i % 4), 40.0 * r * (i // 4)])
         for i, g in enumerate(groups)
     ]
     return PointSet(np.vstack(placed))

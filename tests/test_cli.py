@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import radclust.geometry as geometry
 from radclust.cli import main
 from radclust.io import write_trajectory_csv
 from radclust.trajectory import synthetic_motorcade
@@ -196,6 +197,38 @@ def test_cluster_unwritable_svg_keeps_a_labels_file_it_did_not_create(tmp_path):
     code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", str(out), "--svg", str(svg)])
     assert code == 1
     assert out.exists()
+
+
+def test_cluster_beyond_physical_memory_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 7 * 7 - 1)
+    inp = str(tmp_path / "chain.csv")
+    _write_chain_csv(inp)
+    out = tmp_path / "labels.json"
+    svg = tmp_path / "plot.svg"
+    code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", str(out), "--svg", str(svg)])
+    assert code == 1
+    assert "7 points need 98 bytes" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv"]
+
+
+@pytest.mark.parametrize(
+    "command,outputs",
+    [
+        ("cluster", ["--out", "same.out", "--svg", "same.out"]),
+        ("cluster", ["--out", "same.out", "--svg", "./same.out"]),
+        ("trajectory", ["--out", "same.out", "--svg", "same.out"]),
+        ("trajectory", ["--out", "fr.json", "--events", "same.out", "--svg", "same.out"]),
+    ],
+)
+def test_outputs_naming_one_file_are_refused(
+    tmp_path, monkeypatch, capsys, motorcade_csv, command, outputs
+):
+    monkeypatch.chdir(tmp_path)
+    _write_chain_csv("chain.csv")
+    inp = "chain.csv" if command == "cluster" else motorcade_csv
+    assert main([command, "--input", inp, "--radius", "15", *outputs]) == 1
+    assert "same file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv", "motorcade.csv"]
 
 
 def test_cluster_accepts_ids_equal_as_integers(tmp_path):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import radclust.geometry as geometry
 from radclust.clustering import cluster_pointset
 from radclust.geometry import (
     SCALE_MAX,
@@ -196,3 +198,27 @@ def test_adjacency_invariant_under_rigid_motion():
         before = build_adjacency(PointSet(coords), cfg).to_array()
         after = build_adjacency(PointSet(moved), cfg).to_array()
         assert np.array_equal(before, after)
+
+
+def test_adjacency_beyond_physical_memory_fails_before_allocating():
+    # 10**6 points are 8 MB of coordinates but would need 2 * 10**12 bytes
+    # for the boolean matrix and its copy.
+    ps = PointSet(np.zeros((10**6, 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1000000 points need 2000000000000 bytes"):
+            build_adjacency(ps, ClusteringConfig(radius=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_adjacency_memory_guard_boundary(monkeypatch):
+    ps = PointSet(np.arange(5.0)[:, None])
+    cfg = ClusteringConfig(radius=1.5)
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 5 * 5)
+    assert build_adjacency(ps, cfg).n == 5
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 5 * 5 - 1)
+    with pytest.raises(ValueError, match="5 points need 50 bytes"):
+        build_adjacency(ps, cfg)

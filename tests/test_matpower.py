@@ -90,12 +90,12 @@ def test_multiply_rejects_size_mismatch():
 
 def test_plan_seven_points():
     plan = make_power_plan(7)
-    assert plan == PowerPlan(n=7, k=3, m=2, naive_mults=2, fast_mults=2)
+    assert plan == PowerPlan(n=7, k=3, m=2, naive_mults=2)
 
 
 def test_plan_two_points():
     plan = make_power_plan(2)
-    assert (plan.k, plan.m, plan.naive_mults, plan.fast_mults) == (1, 0, 0, 0)
+    assert (plan.k, plan.m, plan.naive_mults) == (1, 0, 0)
 
 
 def test_plan_thousand_points():
@@ -103,7 +103,6 @@ def test_plan_thousand_points():
     assert plan.k == 500
     assert plan.m == 9
     assert plan.naive_mults == 499
-    assert plan.fast_mults == 9
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -117,15 +116,13 @@ def test_plan_invariants_across_sizes():
         plan = make_power_plan(n)
         assert plan.k == n // 2
         assert plan.naive_mults == max(plan.k - 1, 0)
-        assert plan.fast_mults == plan.m
         if plan.k >= 1:
             assert 2**plan.m >= plan.k
             if plan.m > 0:
                 # m is the smallest such exponent
                 assert 2 ** (plan.m - 1) < plan.k
-        assert plan.fast_mults <= max(plan.naive_mults, plan.fast_mults)
         if n >= 4:
-            assert plan.fast_mults <= plan.naive_mults
+            assert plan.m <= plan.naive_mults
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from radclust.geometry import ClusteringConfig, build_adjacency
 from radclust.scenarios import (
     DENSITY_PER_DISK,
     SCENARIO_KINDS,
-    ScenarioSpec,
     blob_points,
     chain_points,
     dense_core_with_scatter_points,
@@ -33,23 +32,23 @@ def _n_clusters(ps, radius):
 
 
 def test_generate_is_bit_for_bit_deterministic():
-    spec = ScenarioSpec("blob", {"n": 30, "spacing": 1.0, "jitter": 0.2}, seed=5)
-    a = generate(spec)
-    b = generate(spec)
+    params = {"n": 30, "spacing": 1.0, "jitter": 0.2}
+    a = generate("blob", params, seed=5)
+    b = generate("blob", params, seed=5)
     assert np.array_equal(a.coords, b.coords)
     assert a.ids == b.ids
 
 
 def test_generate_seed_changes_stochastic_output():
     base = {"n": 30, "spacing": 1.0, "jitter": 0.2}
-    a = generate(ScenarioSpec("blob", base, seed=1))
-    b = generate(ScenarioSpec("blob", base, seed=2))
+    a = generate("blob", base, seed=1)
+    b = generate("blob", base, seed=2)
     assert not np.array_equal(a.coords, b.coords)
 
 
 def test_generate_seed_ignored_for_deterministic_kinds():
-    a = generate(ScenarioSpec("chain", {"n": 5, "spacing": 1.0}, seed=1))
-    b = generate(ScenarioSpec("chain", {"n": 5, "spacing": 1.0}, seed=99))
+    a = generate("chain", {"n": 5, "spacing": 1.0}, seed=1)
+    b = generate("chain", {"n": 5, "spacing": 1.0}, seed=99)
     assert np.array_equal(a.coords, b.coords)
 
 
@@ -168,18 +167,18 @@ def test_shape_showcase_scales_with_radius():
 
 
 # ---------------------------------------------------------------------------
-# Spec dispatch and validation
+# Kind dispatch and validation
 # ---------------------------------------------------------------------------
 
 
 def test_generate_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown scenario kind"):
-        generate(ScenarioSpec("spiral", {}))
+        generate("spiral", {})
 
 
 def test_generate_rejects_unknown_parameter():
     with pytest.raises(ValueError, match="chain"):
-        generate(ScenarioSpec("chain", {"n": 5, "pitch": 1.0}))
+        generate("chain", {"n": 5, "pitch": 1.0})
 
 
 @pytest.mark.parametrize(
@@ -193,7 +192,7 @@ def test_generate_rejects_unknown_parameter():
 )
 def test_generate_rejects_bad_values(kind, params):
     with pytest.raises(ValueError):
-        generate(ScenarioSpec(kind, params, seed=0))
+        generate(kind, params, seed=0)
 
 
 def test_scenario_kind_registry():
