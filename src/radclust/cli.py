@@ -27,7 +27,7 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from .clustering import cluster_pointset, mask_labels
-from .geometry import ClusteringConfig, PointSet, build_adjacency
+from .geometry import ClusteringConfig, PointSet, build_adjacency, require_memory
 from .io import (
     cluster_payload,
     events_payload,
@@ -38,9 +38,14 @@ from .io import (
     write_json,
     write_points_csv,
 )
-from .matpower import make_power_plan, power_fast, power_naive_oracle
+from .matpower import (
+    POWER_PEAK_BYTES_PER_ENTRY,
+    make_power_plan,
+    power_fast,
+    power_naive_oracle,
+)
 from .scenarios import SCENARIO_KINDS, generate
-from .svgplot import render_frames_svg, render_points_svg
+from .svgplot import frame_svg_paths, render_frames_svg, render_points_svg
 from .trajectory import cluster_frames, detect_events
 
 __all__ = ["main"]
@@ -129,10 +134,13 @@ def _check_svg(args, ps: PointSet) -> None:
         raise ValueError(f"--svg needs 2-d points, got d={ps.dimension}")
 
 
-def _check_distinct_outputs(**paths) -> None:
-    """Refuse two outputs, keyed by flag, on one file; call before writing."""
+def _check_distinct_outputs(*flagged: tuple[str, str | None]) -> None:
+    """Refuse two ``(flag, path)`` pairs on one file; call before writing.
+
+    Pass the input with the outputs, so that no output overwrites it.
+    """
     seen = {}
-    for flag, path in paths.items():
+    for flag, path in flagged:
         if path:
             real = os.path.realpath(path)
             if real in seen:
@@ -178,7 +186,7 @@ def _removed_on_error(*paths):
 
 
 def _cmd_cluster(args) -> None:
-    _check_distinct_outputs(out=args.out, svg=args.svg)
+    _check_distinct_outputs(("input", args.input), ("out", args.out), ("svg", args.svg))
     cfg = ClusteringConfig(radius=args.radius)
     ps = read_points_csv(args.input)
     _check_svg(args, ps)
@@ -220,8 +228,15 @@ def _cmd_trajectory(args) -> None:
     events_path = args.events or os.path.join(
         os.path.dirname(args.out) or ".", "events.json"
     )
-    _check_distinct_outputs(out=args.out, events=events_path, svg=args.svg)
     frames = read_trajectory_csv(args.input)
+    svg_files = frame_svg_paths(args.svg, len(frames)) if args.svg else []
+    _check_distinct_outputs(
+        ("input", args.input),
+        ("out", args.out),
+        ("events", events_path),
+        ("svg", args.svg),
+        *(("svg", path) for path in svg_files),
+    )
     if args.project == "equirect":
         frames = project_equirect(frames)
     _check_svg(args, frames[0].points)
@@ -252,6 +267,9 @@ def _parse_bench_ns(raw: str) -> list[int]:
 
 def _cmd_bench(args) -> None:
     ns = _parse_bench_ns(args.bench_n)
+    for n in ns:
+        need = POWER_PEAK_BYTES_PER_ENTRY * n * n
+        require_memory(need, f"--bench-n {n} needs {need} bytes for the squarings")
     rng = np.random.default_rng(args.seed)
     records = []
     for n in ns:

@@ -19,10 +19,62 @@ any d below ``2**22``), and a square that rounds into the subnormal range
 is off by less than ``2**-1074``, under ``2**-74`` of ``r**2``: less than
 the rounding every sum of squares already carries.  Inputs outside the
 range are rejected with ``ValueError`` instead of being clustered wrongly.
+
+The distance predicate is applied only to candidate pairs from a uniform
+grid, the cell index of DBSCAN (Ester et al., KDD 1996) and of grid DBSCAN
+(Gunawan 2013).  Points are hashed into cells of side
+``s = r * (1 + 2**-40)`` over at most the first three axes: the cell of a
+coordinate ``x`` on one axis is ``floor(x / s)`` in float64.  A pair is a
+candidate when its cells are equal or neighbours (floors at most 1 apart) on
+every grid axis.  Dropping the axes past the third only adds candidates, as
+the distance over some axes never exceeds the full distance, so one code
+path serves every d with at most 14 cell offsets (13 neighbours, one per
+unordered pair of directions, and the cell itself).  Two facts make the
+candidates a superset of the edges:
+
+1. A computed distance below ``r`` puts every exact axis difference
+   ``|x - y|`` below ``r * (1 + 3 * 2**-53)``: a floating-point sum of
+   non-negative terms is never smaller than any one of them, so the computed
+   distance is at least ``|x - y|`` after one subtraction, one squaring and
+   one square root, each off by a relative ``2**-53`` at most.  (Squares in
+   the subnormal range only arise from differences far below ``r``.)  The
+   rounded ``s`` is at least ``r * (1 + 2**-40) * (1 - 2**-53)``, larger.
+2. Floats ``x < y`` whose cells are two or more apart are at least ``s``
+   apart, whatever the rounding of ``x / s``.  Take an integer ``K`` with
+   ``fl(x / s) < K`` and ``K + 1 <= fl(y / s)``, both representable (one
+   exists unless ``|x|`` or ``|y|`` nears ``2**53 * s``, where consecutive
+   floats are already ``s`` or more apart).  With ``g(z)`` the gap below the
+   float ``z``, rounding to nearest gives ``x / s <= K - g(K) / 2`` and
+   ``y / s >= K + 1 - g(K + 1) / 2``, so ``y - x >= s`` unless the gap grows
+   from ``K`` to ``K + 1``.  It grows only for ``K = 0`` and ``K = 2**q``,
+   and there the float grid closes the deficit: no float lies in
+   ``[s * (1 - 2**-54), s)``, so ``y >= s``; and no float lies in
+   ``(2**q * s * (1 - 2**-53), 2**q * s)``, so ``x / s <= K - g(K + 1) / 2``.
+
+So the margin ``2**-40`` need only cover fact 1; the rounding of
+``x / s`` costs nothing.  Across the safe range the floors reach ``2**1000``
+in magnitude, past any integer type, so each axis's distinct floors are
+numbered in order, and two cells are neighbours on that axis when their
+floors differ by exactly 1.  That float test is exact: the difference of two
+integer-valued floats is exact or far above 1.  Numbers skip one value
+between floors that are not neighbours, so neighbours are one apart, and the
+numbers of all grid axes form one mixed-radix int64 cell key below
+``(2 * N + 1)**3``.  That fits for ``N < 2**20``; a larger ``N`` needs 2 TiB
+for the adjacency matrix, which the memory guard refuses first on smaller
+machines.
+
+Neighbouring cell pairs come from one ``searchsorted`` per offset on the
+sorted cell keys.  Each cell pair contributes every point pair of its two
+cells, the cell itself included, and these candidates are expanded and
+tested in batches of at most ``_CHUNK_ELEMENTS``, so no temporary grows with
+the crowding of a cell: all-coincident points test ``N**2`` candidates in
+fixed-size batches.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -36,6 +88,7 @@ __all__ = [
     "PointSet",
     "ClusteringConfig",
     "build_adjacency",
+    "require_memory",
     "SCALE_MIN",
     "SCALE_MAX",
 ]
@@ -47,15 +100,58 @@ SCALE_MIN = 2.0**-500
 SCALE_MAX = 2.0**500
 _SAFE_RANGE = f"[2**-500, 2**500] ({SCALE_MIN:.3g} to {SCALE_MAX:.3g})"
 
-# Elements of the (rows, N, d) float64 difference block per adjacency chunk:
-# 512 KiB per temporary, small enough to stay in cache, unless a single row
-# (N x d) is larger.
+# Candidate pairs per adjacency batch, and entries per row block of the
+# label step: 512 KiB per int64 or float64 temporary, small enough to stay
+# in cache.
 _CHUNK_ELEMENTS = 2**16
 
+# Grid cell side over r (module docstring).
+_CELL_MARGIN = 1.0 + 2.0**-40
 
+# For m grid axes, the cell offsets in {-1, 0, 1}**m that are zero or
+# lexicographically positive: one of each opposite pair, and the cell itself.
+_HALF_OFFSETS = {
+    m: np.array(
+        [o for o in itertools.product((-1, 0, 1), repeat=m) if o >= (0,) * m]
+    )
+    for m in (1, 2, 3)
+}
+
+# cgroup memory limits: v2, then v1.
+_CGROUP_LIMIT_FILES = (
+    "/sys/fs/cgroup/memory.max",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+)
+
+
+@functools.cache
 def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """Bytes of memory this process may use.
+
+    Physical memory, or a numeric cgroup limit below it.  ``max``, missing
+    or unreadable files and limits at or above physical memory (cgroup v1
+    reports about 2**63 for "no limit") leave physical memory in force.
+    """
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    for path in _CGROUP_LIMIT_FILES:
+        try:
+            with open(path, encoding="ascii") as fh:
+                raw = fh.read().strip()
+        except (OSError, ValueError):
+            continue
+        if raw.isdigit():
+            limit = min(limit, int(raw))
+    return limit
+
+
+def require_memory(need: int, what: str) -> None:
+    """Raise ``ValueError`` when ``need`` bytes exceed the usable memory.
+
+    ``what`` names the use, e.g. ``"5 points need 50 bytes for ..."``.
+    """
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"{what}, more than the {have} bytes of memory available")
 
 
 class PointSet:
@@ -129,26 +225,92 @@ class ClusteringConfig:
         object.__setattr__(self, "radius", r)
 
 
+class _CellPairs:
+    """Candidate pairs of a uniform grid of cell side ``side``.
+
+    The candidates are every point pair of equal and neighbouring cells
+    (module docstring), ``total`` of them, read in slices by ``batch``.
+    Each unordered pair of distinct points closer than ``side`` appears at
+    least once, in one order or the other; the pairs of a cell with itself
+    include ``(i, i)``.
+    """
+
+    def __init__(self, coords: np.ndarray, side: float) -> None:
+        n = coords.shape[0]
+        m = min(coords.shape[1], 3)
+        key = np.zeros(n, dtype=np.int64)
+        stride = np.zeros(m, dtype=np.int64)
+        for axis, x in enumerate(coords[:, :m].T):
+            floors, rank = np.unique(np.floor(x / side), return_inverse=True)
+            # Number the distinct floors from 1, skipping one number between
+            # floors that are not neighbours: neighbouring cells are then one
+            # apart, and a step off either end of a row of cells meets no cell.
+            step = np.diff(floors, prepend=floors[0]) == 1.0
+            slot = np.cumsum(np.where(step, 1, 2)) - 1
+            size = int(slot[-1]) + 2
+            key = key * size + slot[rank]
+            stride = stride * size
+            stride[axis] = 1
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        start = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+        count = np.diff(start, append=n)
+        cells = sorted_key[start]
+        # Slots stay within 0..size-1 under any offset, so an offset adds to
+        # the key without carry, and a target key names one cell or none.
+        target = (cells + (_HALF_OFFSETS[m] @ stride)[:, None]).ravel()
+        b = np.searchsorted(cells, target).clip(max=cells.size - 1)
+        hit = np.flatnonzero(cells[b] == target)
+        a, b = hit % cells.size, b[hit]
+        # Cell pair p owns candidates begin[p]:end[p] of the whole sequence,
+        # a count[a] x count[b] block read row by row.
+        self._order = order
+        self._first_a, self._first_b = start[a], start[b]
+        self._width = count[b]
+        self._end = np.cumsum(count[a] * self._width)
+        self._begin = self._end - count[a] * self._width
+        self.total = int(self._end[-1])
+
+    def batch(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays ``(i, j)`` of candidates ``lo`` to ``hi`` (exclusive)."""
+        t = np.arange(lo, min(hi, self.total), dtype=np.int64)
+        p = np.searchsorted(self._end, t, side="right")
+        row, col = np.divmod(t - self._begin[p], self._width[p])
+        i = self._order[self._first_a[p] + row]
+        return i, self._order[self._first_b[p] + col]
+
+
+def _set_close_pairs(bits, coords, i, j, radius) -> None:
+    """Set ``bits[i, j]`` and ``bits[j, i]`` where the pair is within ``radius``.
+
+    The one distance predicate, over the pairs ``(i[k], j[k])``; its
+    temporaries end with the call.
+    """
+    diff = coords[i] - coords[j]
+    keep = np.sqrt((diff**2).sum(axis=-1)) < radius
+    i, j = i[keep], j[keep]
+    bits[i, j] = True
+    bits[j, i] = True
+
+
 def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
     """N x N adjacency: entry (i, j) is 1 iff distance(p_i, p_j) < r.
 
-    Symmetric by construction, diagonal all ones (0 < r always holds).
-    Rows are filled in chunks so the float64 temporaries stay bounded by
-    ``_CHUNK_ELEMENTS`` (or one row, if larger) instead of growing as
-    N x N x d; each chunk uses the same distance expression, so the result
-    is bit-identical.  Raises ``ValueError`` for a nonzero coordinate
-    magnitude outside ``[SCALE_MIN, SCALE_MAX]``, and, before allocating,
-    when the ``2 * N**2`` bytes of the boolean matrix and the copy
-    ``BinaryMatrix`` makes of it exceed physical memory.
+    Symmetric by construction, diagonal all ones (0 < r always holds).  The
+    distance ``sqrt(sum(diff**2))`` is computed only for the candidate pairs
+    of a uniform grid (module docstring), in batches of ``_CHUNK_ELEMENTS``,
+    and each kept pair is set in both directions; every entry equals that
+    expression evaluated over all N x N pairs at once, bit for bit.  Raises
+    ``ValueError`` for a nonzero coordinate magnitude outside
+    ``[SCALE_MIN, SCALE_MAX]``, and, before allocating, when the
+    ``2 * N**2`` bytes of the boolean matrix and the copy ``BinaryMatrix``
+    makes of it exceed the usable memory (physical memory or a lower
+    cgroup limit).
     """
     coords = ps.coords
-    n, d = coords.shape
-    need, have = 2 * n * n, _physical_memory()
-    if need > have:
-        raise ValueError(
-            f"{n} points need {need} bytes for the dense adjacency, more than "
-            f"the {have} bytes of physical memory"
-        )
+    n = coords.shape[0]
+    need = 2 * n * n
+    require_memory(need, f"{n} points need {need} bytes for the dense adjacency")
     mag = np.abs(coords)
     bad = (mag != 0.0) & ((mag < SCALE_MIN) | (mag > SCALE_MAX))
     if bad.any():
@@ -157,9 +319,12 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
             f"point {ps.ids[i]!r}: coordinate {float(coords[i, k])!r} is outside "
             f"the safe magnitude range 0 or {_SAFE_RANGE}"
         )
-    rows = max(1, _CHUNK_ELEMENTS // (n * d))
-    bits = np.empty((n, n), dtype=bool)
-    for start in range(0, n, rows):
-        diff = coords[start : start + rows, None, :] - coords[None, :, :]
-        bits[start : start + rows] = np.sqrt((diff**2).sum(axis=-1)) < cfg.radius
+    bits = np.zeros((n, n), dtype=bool)
+    pairs = _CellPairs(coords, cfg.radius * _CELL_MARGIN)
+    for lo in range(0, pairs.total, _CHUNK_ELEMENTS):
+        # Passed straight on, not bound to a name, each batch is freed as
+        # soon as it is tested.
+        _set_close_pairs(
+            bits, coords, *pairs.batch(lo, lo + _CHUNK_ELEMENTS), cfg.radius
+        )
     return BinaryMatrix(bits)

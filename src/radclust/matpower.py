@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "POWER_PEAK_BYTES_PER_ENTRY",
     "BinaryMatrix",
     "PowerPlan",
     "bool_multiply",
@@ -50,6 +51,11 @@ __all__ = [
     "power_fast",
     "power_naive_oracle",
 ]
+
+# Peak bytes per matrix entry while ``power_fast`` squares an adjacency its
+# caller holds: the float32 operand and product (4 + 4), their boolean
+# comparison, the adjacency and the current power (1 each).
+POWER_PEAK_BYTES_PER_ENTRY = 11
 
 
 class BinaryMatrix:
@@ -144,6 +150,8 @@ def power_fast(a: BinaryMatrix) -> tuple[BinaryMatrix, int]:
     Stops at the first squaring that changes nothing, since every later one
     would return the same matrix.  Returns the power matrix and the planned
     multiplication count, which always equals ``make_power_plan(a.n).m``.
+    Memory peaks at ``POWER_PEAK_BYTES_PER_ENTRY * n**2`` bytes, ``a``
+    included.
     """
     plan = make_power_plan(a.n)
     g = a

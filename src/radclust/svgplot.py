@@ -18,7 +18,7 @@ from .clustering import ClusterTable, LabelVector, cluster_color_names
 from .geometry import PointSet
 from .trajectory import Frame
 
-__all__ = ["render_points_svg", "render_frames_svg"]
+__all__ = ["render_points_svg", "render_frames_svg", "frame_svg_paths"]
 
 _WIDTH = 640.0
 _MARKER_RADIUS = 4.0
@@ -66,6 +66,14 @@ def render_points_svg(
     return "\n".join(lines) + "\n"
 
 
+def frame_svg_paths(out_dir: str, n_frames: int) -> list[str]:
+    """Paths of the per-frame SVGs in ``out_dir``: frame_0000.svg, ...
+
+    Named by frame index so they sort in time order.
+    """
+    return [os.path.join(out_dir, f"frame_{idx:04d}.svg") for idx in range(n_frames)]
+
+
 def render_frames_svg(
     frames: Sequence[Frame],
     results: Sequence[tuple[LabelVector, ClusterTable]],
@@ -73,19 +81,16 @@ def render_frames_svg(
 ) -> list[str]:
     """Write one SVG per frame into ``out_dir``, sharing a global viewport.
 
-    Returns the written paths.  Files are named frame_0000.svg, ... by frame
-    index so they sort in time order.
+    Returns the written paths, those of ``frame_svg_paths``.
     """
     if len(frames) != len(results):
         raise ValueError("results and frames must have equal length")
     all_coords = np.vstack([frame.points.coords for frame in frames])
     bounds = _bounds(all_coords)
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for idx, (frame, (lv, table)) in enumerate(zip(frames, results)):
+    paths = frame_svg_paths(out_dir, len(frames))
+    for path, frame, (lv, table) in zip(paths, frames, results):
         doc = render_points_svg(frame.points, lv, table, bounds=bounds)
-        path = os.path.join(out_dir, f"frame_{idx:04d}.svg")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(doc)
-        paths.append(path)
     return paths

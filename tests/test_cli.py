@@ -231,6 +231,38 @@ def test_outputs_naming_one_file_are_refused(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv", "motorcade.csv"]
 
 
+@pytest.mark.parametrize("command", ["cluster", "trajectory"])
+def test_output_naming_the_input_is_refused(tmp_path, capsys, motorcade_csv, command):
+    inp = str(tmp_path / "chain.csv") if command == "cluster" else motorcade_csv
+    if command == "cluster":
+        _write_chain_csv(inp)
+    before = _read_bytes(inp)
+    code = main([command, "--input", inp, "--radius", "15", "--out", inp])
+    assert code == 1
+    assert "--input and --out name the same file" in capsys.readouterr().err
+    assert _read_bytes(inp) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        {"motorcade.csv", os.path.basename(inp)}
+    )
+
+
+@pytest.mark.parametrize("flag", ["--out", "--events"])
+def test_trajectory_output_naming_a_frame_svg_is_refused(tmp_path, capsys, motorcade_csv, flag):
+    # The 161 motorcade frames are plotted to frame_0000.svg .. frame_0160.svg.
+    outputs = {"--out": str(tmp_path / "frames.json"), "--events": str(tmp_path / "ev.json")}
+    outputs[flag] = str(tmp_path / "plots" / "frame_0160.svg")
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", outputs["--out"], "--events", outputs["--events"],
+            "--svg", str(tmp_path / "plots"),
+        ]
+    )
+    assert code == 1
+    assert f"{flag} and --svg name the same file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["motorcade.csv"]
+
+
 def test_cluster_accepts_ids_equal_as_integers(tmp_path):
     # "1" and "01" are different ids; they used to collapse into one.
     inp = tmp_path / "pts.csv"
@@ -601,6 +633,18 @@ def test_bench_timing_flag_adds_wall_seconds(tmp_path):
     (rec,) = _read_json(out)
     assert isinstance(rec["wall_seconds"], float)
     assert rec["wall_seconds"] >= 0.0
+
+
+def test_bench_refuses_a_size_whose_squarings_exceed_memory(tmp_path, monkeypatch, capsys):
+    # n = 10 passes the adjacency's 2 * n**2 bytes but not the 11 * n**2 the
+    # float32 squarings peak at; the refusal comes before any size runs.
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 11 * 10 * 10 - 1)
+    assert main(["bench", "--bench-n", "2,10", "--out", str(out)]) == 1
+    assert "--bench-n 10 needs 1100 bytes" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 11 * 10 * 10)
+    assert main(["bench", "--bench-n", "2,10", "--out", str(out)]) == 0
 
 
 def test_bench_rejects_bad_sizes(tmp_path, capsys):

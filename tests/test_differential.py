@@ -1,11 +1,13 @@
 """Differential tests of the fast paths against plain reference expressions.
 
 Each rewritten stage is held bit-equal to a straightforward reference: the
-unchunked broadcast distance expression for the adjacency, ``m`` plain
+unchunked broadcast distance expression over all pairs for the grid
+adjacency, ``m`` plain
 squarings for the power, and the paper's mask scan of the power plus the
 BFS oracle for the component labels.
 """
 
+import fractions
 import tracemalloc
 
 import numpy as np
@@ -52,10 +54,6 @@ def mask_scan_labels(bits):
     return labels
 
 
-def chunk_rows(n, d):
-    return max(1, geometry._CHUNK_ELEMENTS // (n * d))
-
-
 def random_coords(seed, n, d, duplicates, collinear=False):
     rng = np.random.default_rng(seed)
     if collinear:
@@ -79,7 +77,7 @@ def boundary_radii(coords):
 
 
 # ---------------------------------------------------------------------------
-# Chunked adjacency
+# Grid adjacency
 # ---------------------------------------------------------------------------
 
 
@@ -98,11 +96,148 @@ def test_adjacency_matches_unchunked_expression(n, d):
         assert np.array_equal(got, unchunked_adjacency(coords, r))
 
 
-def test_adjacency_size_cases_cover_chunk_shapes():
-    # The sizes above include N below one chunk and N that is not a multiple
-    # of the chunk height, with the default chunk budget.
-    assert chunk_rows(50, 5) > 50
-    assert chunk_rows(300, 5) < 300 and 300 % chunk_rows(300, 5) != 0
+def test_adjacency_candidate_batches_split_cell_pairs(monkeypatch):
+    # Three coincident points in one cell and four in the next: cell pairs
+    # of 9, 16 and 12 candidates, 37 in all.  Budgets cut inside a cell
+    # pair, on its edges and past the end.
+    coords = np.array([[-0.1, 0.0]] * 3 + [[0.1, 0.0]] * 4)
+    side = 1.0 * geometry._CELL_MARGIN
+    expected = np.ones((7, 7), dtype=bool)
+    for budget in [1, 5, 8, 9, 10, 12, 25, 36, 37, 38, 2**16]:
+        monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
+        cell_pairs = geometry._CellPairs(coords, side)
+        sizes, pairs = [], set()
+        for lo in range(0, cell_pairs.total, budget):
+            i, j = cell_pairs.batch(lo, lo + budget)
+            sizes.append(i.size)
+            pairs.update(zip(i.tolist(), j.tolist()))
+        assert cell_pairs.total == 37 and sum(sizes) == 37
+        assert {frozenset(p) for p in pairs} == {
+            frozenset((i, j)) for i in range(7) for j in range(7)
+        }
+        got = build_adjacency(PointSet(coords), ClusteringConfig(1.0)).bits
+        assert np.array_equal(got, expected)
+
+
+def float_order(x):
+    """An integer with the order of the float ``x``; 0.0 and -0.0 map to 0."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & (2**63 - 1))
+
+
+def float_at(order):
+    """The float with ``float_order`` equal to ``order``."""
+    bits = order if order >= 0 else -order - 2**63
+    return float(np.int64(bits).view(np.float64))
+
+
+def last_in_cells_below(k, side):
+    """The largest float whose cell ``floor(x / side)`` is below ``k``."""
+    reach = (2 * abs(k) + 2) * side
+    lo, hi = float_order(-reach), float_order(reach)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.floor(float_at(mid) / side) < k:
+            lo = mid
+        else:
+            hi = mid
+    return float_at(lo)
+
+
+# Cell indices where the rounding of x / side is least kind: zero, powers of
+# two (the float spacing of the quotient doubles there), their negatives and
+# the last integers below 2**53.
+EDGE_CELLS = [0, 1, 2, -1, -2, 2**20, 2**40, 2**52, -(2**20), -(2**52), 2**53 - 2, 12345]
+EDGE_RADII = [1.0, 0.7, 1.3, 2.0**-300 * 1.9, 2.0**300 * 1.1, float(np.nextafter(2.0, 0))]
+
+
+@pytest.mark.parametrize("k", EDGE_CELLS)
+def test_cells_two_apart_hold_points_a_side_apart(k):
+    # The grid's margin argument: floats x < y with a whole cell between
+    # theirs differ by at least the side, however x / side rounds.
+    for radius in EDGE_RADII:
+        side = radius * geometry._CELL_MARGIN
+        x = last_in_cells_below(k, side)
+        y = np.nextafter(last_in_cells_below(k + 1, side), np.inf)
+        assert np.floor(y / side) - np.floor(x / side) >= 2
+        assert fractions.Fraction(y) - fractions.Fraction(x) >= fractions.Fraction(side)
+
+
+@pytest.mark.parametrize("k", [k for k in EDGE_CELLS if k != 0])
+def test_adjacency_at_one_ulp_across_a_cell_edge(k):
+    for radius in EDGE_RADII:
+        check_one_ulp_across_a_cell_edge(k, radius)
+
+
+def check_one_ulp_across_a_cell_edge(k, radius):
+    # x is the last float before the edge of cell k; y sits at distance r
+    # from it and one ulp either side, inside cell k.  The pairs are laid on
+    # the first axis, on the diagonal of the first two and off the axis.
+    side = radius * geometry._CELL_MARGIN
+    x = last_in_cells_below(k, side)
+    # The first float y above x with y - x not below r, by bisection.
+    lo, hi = float_order(x), float_order(x + 2 * radius)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float_at(mid) - x < radius:
+            lo = mid
+        else:
+            hi = mid
+    ys = [float_at(lo), float_at(hi), float_at(hi + 1)]
+    assert [v - x < radius for v in ys] == [True, False, False]
+    line = np.array([[x]] + [[v] for v in ys])
+    for coords in [line, np.hstack([line, line]), np.hstack([line, np.zeros_like(line)])]:
+        got = build_adjacency(PointSet(coords), ClusteringConfig(radius)).bits
+        assert np.array_equal(got, unchunked_adjacency(coords, radius))
+        if coords is line:
+            assert got[0].tolist() == [True, True, False, False]
+
+
+@pytest.mark.parametrize("d", [1, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_adjacency_of_coincident_points_and_wide_dimensions(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    coincident = np.tile(rng.normal(size=d), (n, 1))
+    assert build_adjacency(PointSet(coincident), ClusteringConfig(0.5)).bits.all()
+    coords = random_coords(n + d, n, d, duplicates=True)
+    for r in boundary_radii(coords):
+        got = build_adjacency(PointSet(coords), ClusteringConfig(r)).bits
+        assert np.array_equal(got, unchunked_adjacency(coords, r))
+
+
+@pytest.mark.parametrize(
+    "coords, radius",
+    [
+        ([[0.0], [2.0**500], [-(2.0**500)], [2.0**500]], 2.0**-500),
+        (
+            [[0.0, 2.0**500, 0.0], [2.0**500, -(2.0**500), 2.0**-500],
+             [2.0**-500, 0.0, 0.0], [0.0, 2.0**500, 0.0]],
+            2.0**-500,
+        ),
+        ([[2.0**-500], [0.0], [-(2.0**-500)], [2.0**-500]], 2.0**500),
+        ([[2.0**-500, 0.0, 2.0**-500, 0.0], [0.0] * 4, [2.0**-500] * 4], 2.0**500),
+    ],
+    ids=["huge-1d", "huge-3d", "tiny-1d", "tiny-4d"],
+)
+def test_adjacency_at_the_ends_of_the_safe_range(coords, radius):
+    # Cell floors reach 2**1000 here; warnings are errors in this suite.
+    got = build_adjacency(PointSet(coords), ClusteringConfig(radius)).bits
+    assert np.array_equal(got, unchunked_adjacency(coords, radius))
+
+
+def test_adjacency_peak_memory_on_coincident_points():
+    # 2000 points in one cell make 4 * 10**6 candidates; the batches keep
+    # their temporaries within 1 MiB beyond the N x N matrix and its copy.
+    n = 2000
+    ps = PointSet(np.ones((n, 2)))
+    tracemalloc.start()
+    try:
+        a = build_adjacency(ps, ClusteringConfig(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.bits.all()
+    assert peak <= 2 * n * n + 2**20
 
 
 @settings(max_examples=60, deadline=None)

@@ -222,3 +222,43 @@ def test_adjacency_memory_guard_boundary(monkeypatch):
     monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 5 * 5 - 1)
     with pytest.raises(ValueError, match="5 points need 50 bytes"):
         build_adjacency(ps, cfg)
+
+
+def _memory_with_cgroup_files(monkeypatch, tmp_path, v2, v1):
+    """``_physical_memory`` on an 8 GiB machine with these limit file contents.
+
+    ``None`` leaves the file missing.
+    """
+    monkeypatch.setattr(geometry.os, "sysconf", {"SC_PHYS_PAGES": 2**21, "SC_PAGE_SIZE": 4096}.get)
+    paths = []
+    for name, text in [("memory.max", v2), ("memory.limit_in_bytes", v1)]:
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        paths.append(str(path))
+    monkeypatch.setattr(geometry, "_CGROUP_LIMIT_FILES", tuple(paths))
+    return geometry._physical_memory.__wrapped__()
+
+
+@pytest.mark.parametrize(
+    "v2, v1, expected",
+    [
+        (None, None, 2**33),
+        ("max\n", None, 2**33),
+        ("1073741824\n", None, 2**30),
+        ("max\n", "2147483648\n", 2**31),
+        (None, "9223372036854771712\n", 2**33),  # v1 "no limit"
+        ("3000000000\n", "2000000000\n", 2 * 10**9),
+        (str(2**33), "garbage", 2**33),
+        (None, "\xff\xfe", 2**33),
+    ],
+    ids=["none", "v2-max", "v2", "v1", "v1-unlimited", "both", "at-physical", "undecodable"],
+)
+def test_memory_limit_takes_a_lower_cgroup_limit(monkeypatch, tmp_path, v2, v1, expected):
+    assert _memory_with_cgroup_files(monkeypatch, tmp_path, v2, v1) == expected
+
+
+def test_memory_limit_skips_an_unreadable_limit(monkeypatch, tmp_path):
+    # A directory in place of the file cannot be read as one.
+    (tmp_path / "memory.max").mkdir()
+    assert _memory_with_cgroup_files(monkeypatch, tmp_path, None, "4096\n") == 4096

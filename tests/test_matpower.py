@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radclust.matpower import (
+    POWER_PEAK_BYTES_PER_ENTRY,
     BinaryMatrix,
     PowerPlan,
     bool_multiply,
@@ -231,3 +234,21 @@ def test_squaring_transitive_closure_is_idempotent():
             break
         prev = nxt
     assert bool_multiply(prev, prev) == prev
+
+
+def test_power_fast_peak_memory_matches_the_bench_guard():
+    # A chain runs every planned squaring; the bench's memory guard counts
+    # POWER_PEAK_BYTES_PER_ENTRY bytes per entry, the adjacency included.
+    n = 600
+    a = BinaryMatrix(chain_bits(n))
+    tracemalloc.start()
+    try:
+        g, _ = power_fast(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The trace starts after ``a`` exists; its n * n bytes come on top.
+    total = peak + a.bits.nbytes
+    assert g != a
+    assert (POWER_PEAK_BYTES_PER_ENTRY - 1) * n * n < total
+    assert total <= POWER_PEAK_BYTES_PER_ENTRY * n * n + 2**12
