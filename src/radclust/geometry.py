@@ -281,7 +281,7 @@ class _CellPairs:
 
 
 def _set_close_pairs(bits, coords, i, j, radius) -> None:
-    """Set ``bits[i, j]`` and ``bits[j, i]`` where the pair is within ``radius``.
+    """Set ``bits[i, j]`` and ``bits[j, i]`` where the pair is closer than ``radius``.
 
     The one distance predicate, over the pairs ``(i[k], j[k])``; its
     temporaries end with the call.

@@ -2,9 +2,8 @@
 
 Each rewritten stage is held bit-equal to a straightforward reference: the
 unchunked broadcast distance expression over all pairs for the grid
-adjacency, ``m`` plain
-squarings for the power, and the paper's mask scan of the power plus the
-BFS oracle for the component labels.
+adjacency, ``m`` plain squarings for the power, and the paper's mask scan of
+the power plus the BFS oracle for the component labels.
 """
 
 import fractions
