@@ -59,7 +59,7 @@ floors differ by exactly 1.  That float test is exact: the difference of two
 integer-valued floats is exact or far above 1.  Numbers skip one value
 between floors that are not neighbours, so neighbours are one apart, and the
 numbers of all grid axes form one mixed-radix int64 cell key below
-``(2 * N + 1)**3``.  That fits for ``N < 2**20``; a larger ``N`` needs 2 TiB
+``(2 * N + 1)**3``.  That fits for ``N < 2**20``; a larger ``N`` needs 1 TiB
 for the adjacency matrix, which the memory guard refuses first on smaller
 machines.
 
@@ -302,14 +302,13 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
     and each kept pair is set in both directions; every entry equals that
     expression evaluated over all N x N pairs at once, bit for bit.  Raises
     ``ValueError`` for a nonzero coordinate magnitude outside
-    ``[SCALE_MIN, SCALE_MAX]``, and, before allocating, when the
-    ``2 * N**2`` bytes of the boolean matrix and the copy ``BinaryMatrix``
-    makes of it exceed the usable memory (physical memory or a lower
-    cgroup limit).
+    ``[SCALE_MIN, SCALE_MAX]``, and, before allocating, when the ``N**2``
+    bytes of the boolean matrix exceed the usable memory (physical memory or
+    a lower cgroup limit); the matrix is frozen and wrapped, not copied.
     """
     coords = ps.coords
     n = coords.shape[0]
-    need = 2 * n * n
+    need = n * n
     require_memory(need, f"{n} points need {need} bytes for the dense adjacency")
     mag = np.abs(coords)
     bad = (mag != 0.0) & ((mag < SCALE_MIN) | (mag > SCALE_MAX))
@@ -327,4 +326,5 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
         _set_close_pairs(
             bits, coords, *pairs.batch(lo, lo + _CHUNK_ELEMENTS), cfg.radius
         )
+    bits.setflags(write=False)
     return BinaryMatrix(bits)

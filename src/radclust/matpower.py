@@ -61,14 +61,16 @@ POWER_PEAK_BYTES_PER_ENTRY = 11
 class BinaryMatrix:
     """A square 0/1 matrix stored as a read-only boolean array.
 
-    Any array-like input is accepted; nonzero entries become 1.  Instances
-    are immutable after construction and safe to share across threads.
+    Any array-like input is accepted; nonzero entries become 1.  Only a
+    read-only boolean ndarray that owns its data is kept, not copied.
+    Instances are immutable and safe to share across threads.
     """
 
     __slots__ = ("bits",)
 
     def __init__(self, bits) -> None:
-        arr = np.array(bits, dtype=bool)
+        owned = isinstance(bits, np.ndarray) and bits.dtype == bool and bits.flags.owndata
+        arr = bits if owned and not bits.flags.writeable else np.array(bits, dtype=bool)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"binary matrix must be square, got shape {arr.shape}")
         if arr.shape[0] == 0:
@@ -141,7 +143,9 @@ def bool_multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     fa = a.bits.astype(np.float32)
     fb = fa if b is a else b.bits.astype(np.float32)
-    return BinaryMatrix(fa @ fb > 0.5)
+    product = fa @ fb > 0.5
+    product.setflags(write=False)
+    return BinaryMatrix(product)
 
 
 def power_fast(a: BinaryMatrix) -> tuple[BinaryMatrix, int]:

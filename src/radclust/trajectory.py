@@ -3,9 +3,10 @@
 Every frame is clustered independently; events are a post-processing overlay
 on consecutive frames.  Cluster identity across frames is defined purely by
 shared member ids: a cluster at frame t-1 is a parent of a cluster at frame t
-when they share at least one node.  A parent whose members land in two or
-more clusters splits; a child fed by two or more parents merges.  Geometry
-never enters event detection, only membership.
+when they share at least one node, so the links are the distinct (frame
+pair, parent, child) triples of the nodes.  A parent with two or more
+children splits; a child with two or more parents merges.  Geometry never
+enters event detection, only membership.
 """
 
 from __future__ import annotations
@@ -55,26 +56,36 @@ class ClusterEvent:
     member_ids: tuple[NodeId, ...]
 
 
-def validate_frames(frames: Sequence[Frame]) -> None:
-    """Check timestamps are non-decreasing and all frames share one id set."""
-    if not frames:
-        raise ValueError("a trajectory needs at least one frame")
-    id_set = set(frames[0].points.ids)
-    prev_t = None
+def _first_frame_positions(frames: Sequence[Frame]) -> list[np.ndarray]:
+    """Per frame, each row's id's position among the first frame's ids.
+
+    Raises ``ValueError`` naming the first frame whose id set differs.
+    """
+    first = frames[0].points.ids
+    index = {node_id: k for k, node_id in enumerate(first)}
+    positions = []
     for frame in frames:
-        if prev_t is not None and frame.t < prev_t:
-            raise ValueError(
-                f"frame t={frame.t}: timestamps must be non-decreasing"
-            )
-        prev_t = frame.t
-        ids = set(frame.points.ids)
-        if ids != id_set:
-            missing = sorted(id_set - ids, key=str)
-            extra = sorted(ids - id_set, key=str)
+        ids = frame.points.ids
+        pos = [index.get(node_id) for node_id in ids]
+        if len(ids) != len(first) or None in pos:  # ids are unique per frame
+            missing = sorted(set(first) - set(ids), key=str)
+            extra = sorted(set(ids) - set(first), key=str)
             raise ValueError(
                 f"frame t={frame.t}: node ids do not match the first frame"
                 f" (missing {missing}, extra {extra})"
             )
+        positions.append(np.array(pos, dtype=np.intp))
+    return positions
+
+
+def validate_frames(frames: Sequence[Frame]) -> None:
+    """Check timestamps are non-decreasing and all frames share one id set."""
+    if not frames:
+        raise ValueError("a trajectory needs at least one frame")
+    for prev, frame in zip(frames, frames[1:]):
+        if frame.t < prev.t:
+            raise ValueError(f"frame t={frame.t}: timestamps must be non-decreasing")
+    _first_frame_positions(frames)
 
 
 def cluster_frames(
@@ -85,68 +96,52 @@ def cluster_frames(
     return [cluster_pointset(frame.points, cfg) for frame in frames]
 
 
-def _members_by_label(frame: Frame, lv: LabelVector) -> dict[int, set]:
-    members: dict[int, set] = {}
-    for node_id, label in zip(frame.points.ids, lv.labels):
-        members.setdefault(int(label), set()).add(node_id)
-    return members
-
-
 def detect_events(
     results: Sequence[tuple[LabelVector, ClusterTable]],
     frames: Sequence[Frame],
 ) -> list[ClusterEvent]:
     """Find splits and merges between each pair of consecutive frames.
 
-    Events are ordered by timestamp, then splits before merges, then by the
-    lowest involved node id.
+    The triples (module docstring) come from one F x n label matrix in the
+    first frame's id order.  Events are ordered by frame, then splits before
+    merges, then by lowest member id.  ``ValueError`` names a frame whose ids
+    differ from the first frame's or whose label count is not its point count.
     """
     if len(results) != len(frames):
         raise ValueError("results and frames must have equal length")
-    events: list[ClusterEvent] = []
-    for prev_idx in range(len(frames) - 1):
-        prev_frame, cur_frame = frames[prev_idx], frames[prev_idx + 1]
-        prev_members = _members_by_label(prev_frame, results[prev_idx][0])
-        cur_members = _members_by_label(cur_frame, results[prev_idx + 1][0])
-        node_to_cur = {
-            node_id: label
-            for label, ids in cur_members.items()
-            for node_id in ids
-        }
-        children_of: dict[int, set[int]] = {
-            p: {node_to_cur[node_id] for node_id in ids}
-            for p, ids in prev_members.items()
-        }
-        parents_of: dict[int, set[int]] = {}
-        for p, children in children_of.items():
-            for c in children:
-                parents_of.setdefault(c, set()).add(p)
-        frame_events = []
-        for p, children in children_of.items():
-            if len(children) >= 2:
-                frame_events.append(
-                    ClusterEvent(
-                        t=cur_frame.t,
-                        kind="split",
-                        parents=(p,),
-                        children=tuple(sorted(children)),
-                        member_ids=tuple(sorted(prev_members[p])),
-                    )
-                )
-        for c, parents in parents_of.items():
-            if len(parents) >= 2:
-                frame_events.append(
-                    ClusterEvent(
-                        t=cur_frame.t,
-                        kind="merge",
-                        parents=tuple(sorted(parents)),
-                        children=(c,),
-                        member_ids=tuple(sorted(cur_members[c])),
-                    )
-                )
-        frame_events.sort(key=lambda e: (e.kind != "split", e.member_ids[0]))
-        events.extend(frame_events)
-    return events
+    if not frames:
+        return []
+    aligned = np.empty((len(frames), len(frames[0].points)), dtype=np.int64)
+    for f, pos in enumerate(_first_frame_positions(frames)):
+        labels = results[f][0].labels
+        if labels.size != pos.size:
+            raise ValueError(
+                f"frame t={frames[f].t}: {labels.size} labels for {pos.size} points"
+            )
+        aligned[f, pos] = labels
+    base = int(aligned.max()) + 1
+    pair = np.arange(len(frames) - 1)[:, None]
+    triples = np.unique((pair * base + aligned[:-1]) * base + aligned[1:])
+    pair_parent, child = np.divmod(triples, base)
+    found = []
+    for kind, group, partner in (
+        ("split", pair_parent, child),
+        ("merge", pair_parent // base * base + child, pair_parent % base),
+    ):
+        order = np.lexsort((partner, group))
+        group, partner = group[order], partner[order]
+        heads, first, count = np.unique(group, return_index=True, return_counts=True)
+        keep = count >= 2
+        for head, lo, hi in zip(heads[keep], first[keep], (first + count)[keep]):
+            f, label = divmod(int(head), base)
+            at = f + (kind == "merge")  # members: a split's at t-1, a merge's at t
+            rows = np.flatnonzero(results[at][0].labels == label).tolist()
+            partners = tuple(partner[lo:hi].tolist())
+            links = ((label,), partners) if kind == "split" else (partners, (label,))
+            members = tuple(sorted(frames[at].points.ids[i] for i in rows))
+            found.append((f, ClusterEvent(frames[f + 1].t, kind, *links, members)))
+    found.sort(key=lambda fe: (fe[0], fe[1].kind != "split", fe[1].member_ids[0]))
+    return [event for _, event in found]
 
 
 # Radius the synthetic motorcade is designed for, in meters.

@@ -200,14 +200,14 @@ def test_cluster_unwritable_svg_keeps_a_labels_file_it_did_not_create(tmp_path):
 
 
 def test_cluster_beyond_physical_memory_writes_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 7 * 7 - 1)
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 7 * 7 - 1)
     inp = str(tmp_path / "chain.csv")
     _write_chain_csv(inp)
     out = tmp_path / "labels.json"
     svg = tmp_path / "plot.svg"
     code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", str(out), "--svg", str(svg)])
     assert code == 1
-    assert "7 points need 98 bytes" in capsys.readouterr().err
+    assert "7 points need 49 bytes" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv"]
 
 
@@ -636,7 +636,7 @@ def test_bench_timing_flag_adds_wall_seconds(tmp_path):
 
 
 def test_bench_refuses_a_size_whose_squarings_exceed_memory(tmp_path, monkeypatch, capsys):
-    # n = 10 passes the adjacency's 2 * n**2 bytes but not the 11 * n**2 the
+    # n = 10 passes the adjacency's n**2 bytes but not the 11 * n**2 the
     # float32 squarings peak at; the refusal comes before any size runs.
     out = tmp_path / "bench.json"
     monkeypatch.setattr(geometry, "_physical_memory", lambda: 11 * 10 * 10 - 1)

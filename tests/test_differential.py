@@ -2,8 +2,9 @@
 
 Each rewritten stage is held bit-equal to a straightforward reference: the
 unchunked broadcast distance expression over all pairs for the grid
-adjacency, ``m`` plain squarings for the power, and the paper's mask scan of
-the power plus the BFS oracle for the component labels.
+adjacency, ``m`` plain squarings for the power, the paper's mask scan of
+the power plus the BFS oracle for the component labels, and the
+intersection of every cluster pair for the split/merge events.
 """
 
 import fractions
@@ -20,6 +21,7 @@ import radclust.matpower as matpower
 from radclust.clustering import cluster_labels, connected_components_oracle, mask_labels
 from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
 from radclust.matpower import BinaryMatrix, bool_multiply, make_power_plan, power_fast
+from radclust.trajectory import ClusterEvent, Frame, cluster_frames, detect_events
 
 from helpers import chain_bits, random_adjacency
 
@@ -226,7 +228,7 @@ def test_adjacency_at_the_ends_of_the_safe_range(coords, radius):
 
 def test_adjacency_peak_memory_on_coincident_points():
     # 2000 points in one cell make 4 * 10**6 candidates; the batches keep
-    # their temporaries within 1 MiB beyond the N x N matrix and its copy.
+    # their temporaries within 4 MiB beyond the one N x N matrix.
     n = 2000
     ps = PointSet(np.ones((n, 2)))
     tracemalloc.start()
@@ -236,7 +238,7 @@ def test_adjacency_peak_memory_on_coincident_points():
     finally:
         tracemalloc.stop()
     assert a.bits.all()
-    assert peak <= 2 * n * n + 2**20
+    assert peak <= n * n + 4 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -481,3 +483,65 @@ def test_component_labels_peak_memory_on_complete_graph():
         tracemalloc.stop()
     assert lv.labels.tolist() == [1] * 2000
     assert peak <= 2**20
+
+
+def brute_force_events(results, frames):
+    """Splits and merges from the overlap of every cluster pair of two frames."""
+
+    def clusters(f):
+        groups = {}
+        for node_id, label in zip(frames[f].points.ids, results[f][0].labels.tolist()):
+            groups.setdefault(label, set()).add(node_id)
+        return groups
+
+    events = []
+    for f in range(1, len(frames)):
+        before, after = clusters(f - 1), clusters(f)
+        links = [(p, c) for p in before for c in after if before[p] & after[c]]
+        splits, merges = [], []
+        for p, members in before.items():
+            children = tuple(sorted(c for q, c in links if q == p))
+            if len(children) >= 2:
+                members = tuple(sorted(members))
+                splits.append(ClusterEvent(frames[f].t, "split", (p,), children, members))
+        for c, members in after.items():
+            parents = tuple(sorted(p for p, d in links if d == c))
+            if len(parents) >= 2:
+                members = tuple(sorted(members))
+                merges.append(ClusterEvent(frames[f].t, "merge", parents, (c,), members))
+        for batch in (splits, merges):
+            events += sorted(batch, key=lambda e: e.member_ids[0])
+    return events
+
+
+@st.composite
+def trajectories(draw):
+    """Frames of 1-12 nodes on a line: rows shuffled per frame, repeated
+    timestamps, int or str ids, and frames that swap two nodes' places."""
+    n = draw(st.integers(1, 12))
+    n_frames = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    ids = [f"id{k}" for k in keys] if draw(st.booleans()) else keys
+    times = sorted(draw(st.lists(st.integers(0, 2), min_size=n_frames, max_size=n_frames)))
+    xs = [draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))]
+    for _ in range(1, n_frames):
+        if n >= 2 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            swapped = list(xs[-1])
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            xs.append(swapped)
+        else:
+            xs.append(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    frames = []
+    for t, x in zip(times, xs):
+        rows = draw(st.permutations(range(n)))
+        coords = [[float(x[k])] for k in rows]
+        frames.append(Frame(float(t), PointSet(coords, [ids[k] for k in rows])))
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=trajectories())
+def test_events_match_brute_force_property(frames):
+    results = cluster_frames(frames, ClusteringConfig(radius=1.5))
+    assert detect_events(results, frames) == brute_force_events(results, frames)

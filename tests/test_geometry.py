@@ -201,12 +201,12 @@ def test_adjacency_invariant_under_rigid_motion():
 
 
 def test_adjacency_beyond_physical_memory_fails_before_allocating():
-    # 10**6 points are 8 MB of coordinates but would need 2 * 10**12 bytes
-    # for the boolean matrix and its copy.
+    # 10**6 points are 8 MB of coordinates but would need 10**12 bytes for
+    # the boolean matrix.
     ps = PointSet(np.zeros((10**6, 1)))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="1000000 points need 2000000000000 bytes"):
+        with pytest.raises(ValueError, match="1000000 points need 1000000000000 bytes"):
             build_adjacency(ps, ClusteringConfig(radius=1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -217,11 +217,25 @@ def test_adjacency_beyond_physical_memory_fails_before_allocating():
 def test_adjacency_memory_guard_boundary(monkeypatch):
     ps = PointSet(np.arange(5.0)[:, None])
     cfg = ClusteringConfig(radius=1.5)
-    monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 5 * 5)
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 5 * 5)
     assert build_adjacency(ps, cfg).n == 5
-    monkeypatch.setattr(geometry, "_physical_memory", lambda: 2 * 5 * 5 - 1)
-    with pytest.raises(ValueError, match="5 points need 50 bytes"):
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 5 * 5 - 1)
+    with pytest.raises(ValueError, match="5 points need 25 bytes"):
         build_adjacency(ps, cfg)
+
+
+def test_adjacency_holds_one_n_by_n_matrix():
+    # The N = 8000 chain's 64 MB matrix is frozen and wrapped, not copied.
+    n = 8000
+    ps = PointSet(np.arange(n, dtype=np.float64)[:, None])
+    tracemalloc.start()
+    try:
+        a = build_adjacency(ps, ClusteringConfig(radius=1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(a.bits.sum()) == 3 * n - 2
+    assert peak <= n * n + 4 * 2**20
 
 
 def _memory_with_cgroup_files(monkeypatch, tmp_path, v2, v1):

@@ -159,6 +159,26 @@ def test_detect_events_requires_matching_lengths():
         detect_events([], frames)
 
 
+def test_detect_events_rejects_changing_id_sets():
+    frames = [
+        _frame(0, [[0.0, 0.0], [1.0, 0.0]], ids=[0, 1]),
+        _frame(3, [[0.0, 0.0], [1.0, 0.0]], ids=[0, 2]),
+    ]
+    cfg = ClusteringConfig(radius=2.0)
+    results = [cluster_pointset(frame.points, cfg) for frame in frames]
+    with pytest.raises(ValueError, match=r"t=3.0: .* \(missing \[1\], extra \[2\]\)"):
+        detect_events(results, frames)
+
+
+def test_detect_events_rejects_a_label_count_unlike_the_point_count():
+    frames = [_frame(0, [[0.0, 0.0], [5.0, 0.0]]), _frame(1, [[0.0, 0.0], [1.0, 0.0]])]
+    cfg = ClusteringConfig(radius=2.0)
+    results = cluster_frames(frames, cfg)
+    results[0] = cluster_pointset(PointSet([[0.0, 0.0]]), cfg)
+    with pytest.raises(ValueError, match="t=0.0: 1 labels for 2 points"):
+        detect_events(results, frames)
+
+
 # ---------------------------------------------------------------------------
 # The synthetic motorcade
 # ---------------------------------------------------------------------------
