@@ -15,9 +15,8 @@ Run from the repository root:
 
 import numpy as np
 
-from radclust.clustering import mask_labels
 from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
-from radclust.matpower import make_power_plan, power_fast, power_naive_oracle
+from radclust.matpower import make_power_plan, mask_labels, power_fast, power_naive_oracle
 
 SIZES = [2, 7, 10, 50, 100, 500, 1000, 5000, 10000]
 

@@ -12,10 +12,10 @@ The package re-exports nothing.  Import each name from the module that
 defines it and lists it in ``__all__``, e.g.
 ``from radclust.clustering import cluster_pointset``:
 
-* ``geometry``   the ``PointSet`` container, radius-graph adjacency
-* ``matpower``   boolean matrix powers by repeated squaring, plus oracles
-* ``clustering`` component labels, mask labels, components oracle,
-  size-ranked tables
+* ``geometry``   the ``PointSet`` container, radius-graph adjacency matrix
+* ``clustering`` component labels, size-ranked tables
+* ``matpower``   the paper's reference: boolean powers by repeated squaring,
+  mask labels, components oracle; only ``cli`` imports it
 * ``scenarios``  deterministic synthetic scene generators
 * ``trajectory`` per-frame clustering and split/merge events
 * ``svgplot``    deterministic SVG scatter plots

@@ -26,7 +26,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .clustering import cluster_pointset, mask_labels
+from .clustering import cluster_pointset
 from .geometry import ClusteringConfig, PointSet, build_adjacency, require_memory
 from .io import (
     cluster_payload,
@@ -41,6 +41,7 @@ from .io import (
 from .matpower import (
     POWER_PEAK_BYTES_PER_ENTRY,
     make_power_plan,
+    mask_labels,
     power_fast,
     power_naive_oracle,
 )

@@ -1,13 +1,8 @@
 """Connected-component labels and size-ranked cluster tables.
 
-The clusters are the connected components of the radius graph.  The paper
-reaches them through a covering matrix power (see ``matpower``) read by a
-mask scan; ``cluster_labels`` finds the same components straight from the
-adjacency matrix, with no matrix product.  Any power ``A**e`` (``e >= 1``)
-of a symmetric adjacency with a set diagonal has the components of ``A``
-itself, so both routes give one partition.
-
-``cluster_labels`` runs min-label hooking with pointer jumping (Shiloach &
+The clusters are the connected components of the radius graph.
+``cluster_labels`` finds them straight from the adjacency matrix, with no
+matrix product, by min-label hooking with pointer jumping (Shiloach &
 Vishkin 1982) on a forest of parent pointers, in rounds.  At the start of a
 round every tree is a star: each node points at its tree's root, the lowest
 index in the tree.  One pass over the matrix rows gives each node the lowest
@@ -15,8 +10,7 @@ root among its neighbours, and each root whose star sees a lower root hooks
 onto the lowest one it sees.  Hooks only go to lower roots, so no cycle can
 form.  Pointer jumping then turns every tree back into a star.  A round
 with no hook ends the loop; every component is then one star rooted at its
-lowest index.  On a covering power, where each component is a clique, the
-first round finishes the work and the second finds nothing to hook.
+lowest index.
 
 Round bound: a star that still has a neighbour outside it either sees a
 lower root and hooks, or sees only higher roots.  In the second case each
@@ -32,27 +26,28 @@ matrix once, in row blocks of a fixed budget, so the step costs
 block's temporary.
 
 Label numbers are dense, starting at 1, in order of each cluster's
-lowest-index node.  ``mask_labels`` keeps the paper's mask scan for checking
-the power method, and ``connected_components_oracle`` computes the partition
-by plain graph traversal as independent ground truth.
+lowest-index node.  The paper's route to the same partition, a matrix power
+read by a mask scan, is the reference in ``matpower``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _CHUNK_ELEMENTS, ClusteringConfig, PointSet, build_adjacency
-from .matpower import BinaryMatrix
+from .geometry import (
+    _CHUNK_ELEMENTS,
+    BinaryMatrix,
+    ClusteringConfig,
+    PointSet,
+    build_adjacency,
+)
 
 __all__ = [
     "LabelVector",
     "ClusterTable",
     "cluster_labels",
-    "mask_labels",
-    "connected_components_oracle",
     "build_cluster_table",
     "cluster_pointset",
     "cluster_color_names",
@@ -190,63 +185,6 @@ def cluster_labels(g: BinaryMatrix) -> LabelVector:
     roots, _ = _component_roots(bits)
     _, labels = np.unique(roots, return_inverse=True)
     return LabelVector(labels + 1)
-
-
-def mask_labels(g: BinaryMatrix) -> LabelVector:
-    """The paper's mask-scan labels of a power matrix, in one vectorised pass.
-
-    The scan walks the nodes in index order; each still-unlabeled node seeds
-    a new cluster whose mask is its row, and every later unlabeled node
-    whose row shares a set bit with the mask joins it.  When ``g`` covers at
-    least ``floor(n / 2)`` hops, rows i and j share a bit exactly when i and
-    j are in one component, so the lowest row sharing a bit with row j is
-    the lowest index of j's component: the seed the scan labels j from.
-    This computes that row for every j at once: ``first[t]`` is the lowest
-    row with bit t set and ``seed[j]`` the least ``first[t]`` over row j's
-    bits; distinct seeds are ranked densely.
-
-    On an under-powered matrix the result need not be the components: a
-    component longer than the matrix's reach can split.  That keeps the
-    paper's exponent claim testable (``radclust bench``, the acceptance
-    tests); ``cluster_labels`` is the clustering path.
-    """
-    bits = g.bits
-    if not bits.any(axis=1).all():
-        raise ValueError("power matrix has an all-zero row")
-    n = g.n
-    # Row indices and the fill value n fit the narrowest unsigned dtype,
-    # which keeps the n x n temporary of the next line small.
-    first = bits.argmax(axis=0).astype(np.min_scalar_type(n))
-    seed = np.where(bits, first, first.dtype.type(n)).min(axis=1)
-    _, labels = np.unique(seed, return_inverse=True)
-    return LabelVector(labels + 1)
-
-
-def connected_components_oracle(a: BinaryMatrix) -> LabelVector:
-    """Connected components of the adjacency graph, by breadth-first search.
-
-    Independent of the matrix-power path; uses the same numbering convention
-    (the component of the lowest-index unlabeled node gets the next label).
-    """
-    bits = a.bits
-    if not np.array_equal(bits, bits.T):
-        raise ValueError("adjacency matrix must be symmetric")
-    n = a.n
-    labels = np.zeros(n, dtype=np.int64)
-    c = 0
-    for start in range(n):
-        if labels[start] != 0:
-            continue
-        c += 1
-        labels[start] = c
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in np.flatnonzero(bits[v]):
-                if labels[w] == 0:
-                    labels[w] = c
-                    queue.append(int(w))
-    return LabelVector(labels)
 
 
 def build_cluster_table(lv: LabelVector) -> ClusterTable:

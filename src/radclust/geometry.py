@@ -1,11 +1,11 @@
-"""The point container and radius-graph adjacency.
+"""The point container and the radius-graph adjacency matrix.
 
 Two nodes are adjacent when their Euclidean distance is strictly below the
 clustering radius ``r``.  The boundary is exact: no tolerance band is applied,
 so a pair at distance exactly ``r`` is not adjacent.  Every node is adjacent
 to itself (distance 0), which puts an all-ones diagonal on the adjacency
 matrix; powers of such a matrix then encode "reachable within that many hops
-or fewer", the property the labeling step depends on.
+or fewer", the property the paper's power method (``matpower``) rests on.
 
 Dimension is arbitrary (>= 1) and must be uniform within a point set.
 
@@ -81,12 +81,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .matpower import BinaryMatrix
-
 __all__ = [
     "NodeId",
     "PointSet",
     "ClusteringConfig",
+    "BinaryMatrix",
     "build_adjacency",
     "require_memory",
     "SCALE_MIN",
@@ -223,6 +222,45 @@ class ClusteringConfig:
                 f"radius {self.radius} is outside the safe range {_SAFE_RANGE}"
             )
         object.__setattr__(self, "radius", r)
+
+
+class BinaryMatrix:
+    """A square 0/1 matrix stored as a read-only boolean array.
+
+    Any array-like input is accepted; nonzero entries become 1.  Only a
+    read-only boolean ndarray that owns its data is kept, not copied.
+    Instances are immutable and safe to share across threads.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits) -> None:
+        owned = isinstance(bits, np.ndarray) and bits.dtype == bool and bits.flags.owndata
+        arr = bits if owned and not bits.flags.writeable else np.array(bits, dtype=bool)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"binary matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise ValueError("binary matrix must have at least one row")
+        arr.setflags(write=False)
+        self.bits = arr
+
+    @property
+    def n(self) -> int:
+        return self.bits.shape[0]
+
+    def to_array(self) -> np.ndarray:
+        """Entries as a fresh int8 array (handy for printing and oracles)."""
+        return self.bits.astype(np.int8)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinaryMatrix):
+            return NotImplemented
+        return np.array_equal(self.bits, other.bits)
+
+    __hash__ = None  # mutable-array semantics: compare, don't hash
+
+    def __repr__(self) -> str:
+        return f"BinaryMatrix(n={self.n})"
 
 
 class _CellPairs:

@@ -64,12 +64,14 @@ def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
     return value
 
 
-def _records(path: str, lead: tuple[str, ...]):
-    """Yield ``(line_no, row)`` for each data row of a CSV.
+def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """Raw ids and float block of a CSV whose header starts with ``lead``.
 
-    The header must start with the ``lead`` columns and have at least one
-    coordinate column after them; each row's field count is checked as the
-    row is reached, so the first malformed line is the one reported.
+    ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
+    timestamp, when there is one, which may not decrease, and then the
+    coordinate columns, at least one.  Each line is checked in full (field count, timestamp,
+    timestamp order, coordinates) before the next, so the first malformed
+    line is the one reported.
     """
     # utf-8-sig drops a leading byte-order mark, which would spoil the header.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -87,12 +89,26 @@ def _records(path: str, lead: tuple[str, ...]):
             f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
             f"got {','.join(header)!r}"
         )
+    id_col = len(lead) - 1  # 1 after a timestamp column
+    raw_ids: list[str] = []
+    block: list[list[float]] = []
     for line_no, row in rows[1:]:
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
-        yield line_no, row
+        values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
+        if values and block and values[0] < block[-1][0]:
+            raise ValueError(
+                f"{path}: line {line_no}: timestamp {values[0]} decreases "
+                f"(previous was {block[-1][0]})"
+            )
+        values += [_parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]]
+        raw_ids.append(row[id_col].strip())
+        block.append(values)
+    if not raw_ids:
+        raise ValueError(f"{path}: no data rows")
+    return raw_ids, np.array(block)
 
 
 def _coord_names(d: int) -> list[str]:
@@ -102,15 +118,7 @@ def _coord_names(d: int) -> list[str]:
 
 def read_points_csv(path: str) -> PointSet:
     """Read a point CSV into a :class:`PointSet` (row order preserved)."""
-    raw_ids: list[str] = []
-    coords: list[list[float]] = []
-    for line_no, row in _records(path, ("id",)):
-        raw_ids.append(row[0].strip())
-        coords.append(
-            [_parse_float(tok, path, line_no, "coordinate") for tok in row[1:]]
-        )
-    if not raw_ids:
-        raise ValueError(f"{path}: no data rows")
+    raw_ids, coords = _read_csv(path, ("id",))
     try:
         return PointSet(coords, _parse_ids(raw_ids))
     except ValueError as exc:
@@ -130,32 +138,15 @@ def read_trajectory_csv(path: str) -> list[Frame]:
 
     Frames are the runs of rows with equal timestamps.
     """
-    times: list[float] = []
-    raw_ids: list[str] = []
-    coords: list[list[float]] = []
-    for line_no, row in _records(path, ("t", "id")):
-        t = _parse_float(row[0], path, line_no, "timestamp")
-        if times and t < times[-1]:
-            raise ValueError(
-                f"{path}: line {line_no}: timestamp {t} decreases "
-                f"(previous was {times[-1]})"
-            )
-        times.append(t)
-        raw_ids.append(row[1].strip())
-        coords.append(
-            [_parse_float(tok, path, line_no, "coordinate") for tok in row[2:]]
-        )
-    if not times:
-        raise ValueError(f"{path}: no data rows")
+    raw_ids, block = _read_csv(path, ("t", "id"))
     ids = _parse_ids(raw_ids)
-    block = np.array(coords)
-    stamps = np.array(times)
+    stamps = block[:, 0]
     starts = [0, *(np.flatnonzero(stamps[1:] != stamps[:-1]) + 1).tolist()]
     frames: list[Frame] = []
-    for lo, hi in zip(starts, starts[1:] + [len(times)]):
-        t = times[lo]
+    for lo, hi in zip(starts, starts[1:] + [len(ids)]):
+        t = float(stamps[lo])
         try:
-            frames.append(Frame(t=t, points=PointSet(block[lo:hi], ids[lo:hi])))
+            frames.append(Frame(t=t, points=PointSet(block[lo:hi, 1:], ids[lo:hi])))
         except ValueError as exc:
             raise ValueError(f"{path}: frame t={t}: {exc}") from None
     return frames
@@ -216,7 +207,7 @@ def cluster_payload(radius: float, lv: LabelVector, table: ClusterTable) -> dict
     return {
         "radius": float(radius),
         "n": len(lv),
-        "labels": [int(v) for v in lv.labels],
+        "labels": lv.labels.tolist(),
         "clusters": _cluster_records(table),
     }
 
@@ -230,7 +221,7 @@ def frames_payload(
         {
             "t": float(frame.t),
             "ids": list(frame.points.ids),
-            "labels": [int(v) for v in lv.labels],
+            "labels": lv.labels.tolist(),
             "clusters": _cluster_records(table),
         }
         for frame, (lv, table) in zip(frames, results)

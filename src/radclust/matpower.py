@@ -1,12 +1,16 @@
-"""Boolean matrix powers via repeated squaring: the paper's method.
+"""The paper's method, kept as a reference: boolean matrix powers and mask labels.
 
 The paper reaches the radius graph's components through a covering power of
-its adjacency matrix.  ``radclust cluster`` and ``trajectory`` do not take
-this route: ``clustering.cluster_labels`` labels the components
-straight from the adjacency in ``O(n**2 log n)``, against ``O(n**3 log n)``
-here.  The power stays as the paper's reference: ``radclust bench`` and the
-acceptance tests check the paper's exponent claim with it, and the tests
-hold the component labels to its partition.
+its adjacency matrix, read by a mask scan (``mask_labels``).  The clustering
+path neither takes this route nor imports this module:
+``clustering.cluster_labels`` labels the components straight from the
+adjacency in ``O(n**2 log n)``, against ``O(n**3 log n)`` here.  Any power
+``A**e`` (``e >= 1``) of a symmetric adjacency with a set diagonal has the
+components of ``A`` itself, so both routes give one partition.  The
+reference is here to check that claim and the paper's exponent: ``radclust
+bench``, the acceptance tests and the differential tests use it, with
+``connected_components_oracle``, a breadth-first search, as ground truth
+independent of both routes.
 
 All products here live in the Boolean semiring: addition is OR, multiplication
 is AND.  For 0/1 matrices this has exactly the same support as the integer
@@ -38,67 +42,29 @@ squarings actually executed are at most ``m``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import LabelVector
+from .geometry import BinaryMatrix
+
 __all__ = [
     "POWER_PEAK_BYTES_PER_ENTRY",
-    "BinaryMatrix",
     "PowerPlan",
     "bool_multiply",
     "make_power_plan",
     "power_fast",
     "power_naive_oracle",
+    "mask_labels",
+    "connected_components_oracle",
 ]
 
 # Peak bytes per matrix entry while ``power_fast`` squares an adjacency its
 # caller holds: the float32 operand and product (4 + 4), their boolean
 # comparison, the adjacency and the current power (1 each).
 POWER_PEAK_BYTES_PER_ENTRY = 11
-
-
-class BinaryMatrix:
-    """A square 0/1 matrix stored as a read-only boolean array.
-
-    Any array-like input is accepted; nonzero entries become 1.  Only a
-    read-only boolean ndarray that owns its data is kept, not copied.
-    Instances are immutable and safe to share across threads.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits) -> None:
-        owned = isinstance(bits, np.ndarray) and bits.dtype == bool and bits.flags.owndata
-        arr = bits if owned and not bits.flags.writeable else np.array(bits, dtype=bool)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"binary matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise ValueError("binary matrix must have at least one row")
-        arr.setflags(write=False)
-        self.bits = arr
-
-    @property
-    def n(self) -> int:
-        return self.bits.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(np.eye(n, dtype=bool))
-
-    def to_array(self) -> np.ndarray:
-        """Entries as a fresh int8 array (handy for printing and oracles)."""
-        return self.bits.astype(np.int8)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
-
-    __hash__ = None  # mutable-array semantics: compare, don't hash
-
-    def __repr__(self) -> str:
-        return f"BinaryMatrix(n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -179,3 +145,61 @@ def power_naive_oracle(a: BinaryMatrix) -> BinaryMatrix:
     for _ in range(plan.naive_mults):
         g = bool_multiply(g, a)
     return g
+
+
+def mask_labels(g: BinaryMatrix) -> LabelVector:
+    """The paper's mask-scan labels of a power matrix, in one vectorised pass.
+
+    The scan walks the nodes in index order; each still-unlabeled node seeds
+    a new cluster whose mask is its row, and every later unlabeled node
+    whose row shares a set bit with the mask joins it.  When ``g`` covers at
+    least ``floor(n / 2)`` hops, rows i and j share a bit exactly when i and
+    j are in one component, so the lowest row sharing a bit with row j is
+    the lowest index of j's component: the seed the scan labels j from.
+    This computes that row for every j at once: ``first[t]`` is the lowest
+    row with bit t set and ``seed[j]`` the least ``first[t]`` over row j's
+    bits; distinct seeds are ranked densely.
+
+    On an under-powered matrix the result need not be the components: a
+    component longer than the matrix's reach can split.  That keeps the
+    paper's exponent claim testable (``radclust bench``, the acceptance
+    tests); ``clustering.cluster_labels`` is the clustering path.
+    """
+    bits = g.bits
+    if not bits.any(axis=1).all():
+        raise ValueError("power matrix has an all-zero row")
+    n = g.n
+    # Row indices and the fill value n fit the narrowest unsigned dtype,
+    # which keeps the n x n temporary of the next line small.
+    first = bits.argmax(axis=0).astype(np.min_scalar_type(n))
+    seed = np.where(bits, first, first.dtype.type(n)).min(axis=1)
+    _, labels = np.unique(seed, return_inverse=True)
+    return LabelVector(labels + 1)
+
+
+def connected_components_oracle(a: BinaryMatrix) -> LabelVector:
+    """Connected components of the adjacency graph, by breadth-first search.
+
+    Independent of the power and of the hooking; uses the same numbering
+    convention (the component of the lowest-index unlabeled node gets the
+    next label).
+    """
+    bits = a.bits
+    if not np.array_equal(bits, bits.T):
+        raise ValueError("adjacency matrix must be symmetric")
+    n = a.n
+    labels = np.zeros(n, dtype=np.int64)
+    c = 0
+    for start in range(n):
+        if labels[start] != 0:
+            continue
+        c += 1
+        labels[start] = c
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in np.flatnonzero(bits[v]):
+                if labels[w] == 0:
+                    labels[w] = c
+                    queue.append(int(w))
+    return LabelVector(labels)

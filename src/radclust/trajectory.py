@@ -66,6 +66,9 @@ def _first_frame_positions(frames: Sequence[Frame]) -> list[np.ndarray]:
     positions = []
     for frame in frames:
         ids = frame.points.ids
+        if ids == first:  # the usual case: rows in the first frame's order
+            positions.append(np.arange(len(ids), dtype=np.intp))
+            continue
         pos = [index.get(node_id) for node_id in ids]
         if len(ids) != len(first) or None in pos:  # ids are unique per frame
             missing = sorted(set(first) - set(ids), key=str)

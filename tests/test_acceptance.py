@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from radclust.cli import main
-from radclust.clustering import (
-    cluster_pointset,
-    connected_components_oracle,
-    mask_labels,
-)
+from radclust.clustering import cluster_pointset
 from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
 from radclust.io import write_trajectory_csv
-from radclust.matpower import power_fast, power_naive_oracle
+from radclust.matpower import (
+    connected_components_oracle,
+    mask_labels,
+    power_fast,
+    power_naive_oracle,
+)
 from radclust.scenarios import (
     chain_points,
     dense_core_with_scatter_points,

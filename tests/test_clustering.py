@@ -8,11 +8,15 @@ from radclust.clustering import (
     cluster_color_names,
     cluster_labels,
     cluster_pointset,
+)
+from radclust.geometry import BinaryMatrix, ClusteringConfig, PointSet, build_adjacency
+from radclust.matpower import (
+    bool_multiply,
     connected_components_oracle,
     mask_labels,
+    power_fast,
+    power_naive_oracle,
 )
-from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
-from radclust.matpower import BinaryMatrix, bool_multiply, power_fast, power_naive_oracle
 from radclust.scenarios import blob_points, chain_points, ring_points
 
 from helpers import chain_bits, partition_sets, random_adjacency
@@ -31,7 +35,7 @@ def test_chain_power_labels_single_cluster():
 
 
 def test_identity_labels_are_singletons():
-    lv = cluster_labels(BinaryMatrix.identity(2))
+    lv = cluster_labels(BinaryMatrix(np.eye(2, dtype=bool)))
     assert lv.labels.tolist() == [1, 2]
 
 
@@ -63,12 +67,8 @@ def test_labels_reject_zero_rows():
 
 
 def test_oracle_identity_and_all_ones():
-    assert connected_components_oracle(BinaryMatrix.identity(4)).labels.tolist() == [
-        1,
-        2,
-        3,
-        4,
-    ]
+    eye = BinaryMatrix(np.eye(4, dtype=bool))
+    assert connected_components_oracle(eye).labels.tolist() == [1, 2, 3, 4]
     ones = BinaryMatrix(np.ones((5, 5), dtype=bool))
     assert connected_components_oracle(ones).labels.tolist() == [1] * 5
 

@@ -18,9 +18,15 @@ from hypothesis import strategies as st
 import radclust.clustering as clustering
 import radclust.geometry as geometry
 import radclust.matpower as matpower
-from radclust.clustering import cluster_labels, connected_components_oracle, mask_labels
-from radclust.geometry import ClusteringConfig, PointSet, build_adjacency
-from radclust.matpower import BinaryMatrix, bool_multiply, make_power_plan, power_fast
+from radclust.clustering import cluster_labels
+from radclust.geometry import BinaryMatrix, ClusteringConfig, PointSet, build_adjacency
+from radclust.matpower import (
+    bool_multiply,
+    connected_components_oracle,
+    make_power_plan,
+    mask_labels,
+    power_fast,
+)
 from radclust.trajectory import ClusterEvent, Frame, cluster_frames, detect_events
 
 from helpers import chain_bits, random_adjacency

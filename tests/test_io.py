@@ -192,6 +192,14 @@ def test_trajectory_csv_rejects_decreasing_t(tmp_path):
         read_trajectory_csv(str(path))
 
 
+def test_trajectory_csv_reports_decreasing_t_before_a_bad_coordinate(tmp_path):
+    # Within a line the timestamp order is checked before the coordinates.
+    path = tmp_path / "traj.csv"
+    path.write_text("t,id,x,y\n1,0,0.0,0.0\n0,0,oops,0.0\n")
+    with pytest.raises(ValueError, match=r"line 3: timestamp 0\.0 decreases"):
+        read_trajectory_csv(str(path))
+
+
 def test_trajectory_csv_rejects_inconsistent_frame_ids(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("t,id,x,y\n0,0,0.0,0.0\n0,0,1.0,0.0\n")

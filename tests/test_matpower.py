@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from radclust.geometry import BinaryMatrix
 from radclust.matpower import (
     POWER_PEAK_BYTES_PER_ENTRY,
-    BinaryMatrix,
     PowerPlan,
     bool_multiply,
     make_power_plan,
@@ -31,13 +31,14 @@ def test_binary_matrix_rejects_non_square():
 
 
 def test_binary_matrix_is_read_only():
-    m = BinaryMatrix.identity(3)
+    m = BinaryMatrix(np.eye(3, dtype=bool))
     with pytest.raises(ValueError):
         m.bits[0, 1] = True
 
 
 def test_identity_factory():
-    assert np.array_equal(BinaryMatrix.identity(2).to_array(), np.eye(2, dtype=bool))
+    eye = np.eye(2, dtype=bool)
+    assert np.array_equal(BinaryMatrix(eye).to_array(), eye)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ def test_multiply_by_identity_is_noop():
     rng = np.random.default_rng(0)
     for _ in range(5):
         a = BinaryMatrix(rng.random((9, 9)) < 0.3)
-        eye = BinaryMatrix.identity(9)
+        eye = BinaryMatrix(np.eye(9, dtype=bool))
         assert bool_multiply(a, eye) == a
         assert bool_multiply(eye, a) == a
 
@@ -83,7 +84,9 @@ def test_all_ones_is_absorbing():
 
 def test_multiply_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        bool_multiply(BinaryMatrix.identity(2), BinaryMatrix.identity(3))
+        bool_multiply(
+            BinaryMatrix(np.eye(2, dtype=bool)), BinaryMatrix(np.eye(3, dtype=bool))
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from radclust.clustering import cluster_pointset, connected_components_oracle
+from radclust.clustering import cluster_pointset
 from radclust.geometry import ClusteringConfig, build_adjacency
+from radclust.matpower import connected_components_oracle
 from radclust.scenarios import (
     DENSITY_PER_DISK,
     SCENARIO_KINDS,

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -37,3 +40,21 @@ def test_package_namespace_holds_no_function_or_class():
         if inspect.isfunction(value) or inspect.isclass(value)
     ]
     assert found == []
+
+
+def test_library_modules_leave_the_reference_unloaded():
+    # The paper's power method in ``matpower`` is a reference: of the
+    # package's modules only ``cli`` (for ``bench``) imports it.  A fresh
+    # interpreter shows what the library modules load on their own.
+    library = ("geometry", "clustering", "trajectory", "io", "svgplot", "scenarios")
+    code = "; ".join(
+        ["import sys"]
+        + [f"import radclust.{name}" for name in library]
+        + ["print('radclust.matpower' in sys.modules)"]
+    )
+    src = os.path.dirname(os.path.dirname(radclust.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
