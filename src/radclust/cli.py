@@ -21,13 +21,12 @@ import os
 import re
 import shutil
 import sys
-import time
 from contextlib import contextmanager, suppress
 
 import numpy as np
 
 from .clustering import cluster_pointset
-from .geometry import ClusteringConfig, PointSet, build_adjacency, require_memory
+from .geometry import ClusteringConfig, PointSet, build_adjacency
 from .io import (
     cluster_payload,
     events_payload,
@@ -38,21 +37,16 @@ from .io import (
     write_json,
     write_points_csv,
 )
-from .matpower import (
-    POWER_PEAK_BYTES_PER_ENTRY,
-    make_power_plan,
-    mask_labels,
-    power_fast,
-    power_naive_oracle,
-)
+from .matpower import make_power_plan, mask_labels, power_fast, power_naive_oracle
 from .scenarios import SCENARIO_KINDS, generate
 from .svgplot import frame_svg_paths, render_frames_svg, render_points_svg
 from .trajectory import cluster_frames, detect_events
 
 __all__ = ["main"]
 
-# Sizes above this run only the repeated-squaring path in ``bench``; the
-# sequential method needs floor(n/2) - 1 full products and gets slow fast.
+# ``bench`` runs both power methods and compares their partitions only up to
+# this size; the sequential method needs floor(n/2) - 1 full products and gets
+# slow fast.  Above it a record holds the plan's counts alone.
 NAIVE_BENCH_LIMIT = 64
 
 
@@ -121,11 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--out", required=True, help="bench JSON output path")
     bench.add_argument("--seed", type=int, default=0, help="seed for the random inputs")
-    bench.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall-clock seconds (non-deterministic) in the report",
-    )
     return parser
 
 
@@ -267,37 +256,28 @@ def _parse_bench_ns(raw: str) -> list[int]:
 
 
 def _cmd_bench(args) -> None:
-    ns = _parse_bench_ns(args.bench_n)
-    for n in ns:
-        need = POWER_PEAK_BYTES_PER_ENTRY * n * n
-        require_memory(need, f"--bench-n {n} needs {need} bytes for the squarings")
     rng = np.random.default_rng(args.seed)
     records = []
-    for n in ns:
-        # Random geometric instance with expected degree of a few neighbors.
-        ps = PointSet(rng.random((n, 2)))
-        cfg = ClusteringConfig(radius=1.2 / np.sqrt(n))
-        adjacency = build_adjacency(ps, cfg)
+    for n in _parse_bench_ns(args.bench_n):
         plan = make_power_plan(n)
-        start = time.perf_counter()
-        g_fast, fast_mults = power_fast(adjacency)
-        wall = time.perf_counter() - start
         record = {
             "n": n,
             "k": plan.k,
             "m": plan.m,
             "naive_mults": plan.naive_mults,
-            "fast_mults": fast_mults,
+            "fast_mults": plan.m,
             "naive_executed": n <= NAIVE_BENCH_LIMIT,
             "partitions_match": None,
         }
         if n <= NAIVE_BENCH_LIMIT:
+            # Random geometric instance with expected degree of a few neighbors.
+            ps = PointSet(rng.random((n, 2)))
+            adjacency = build_adjacency(ps, ClusteringConfig(radius=1.2 / np.sqrt(n)))
+            g_fast, _ = power_fast(adjacency)
             g_naive = power_naive_oracle(adjacency)
             record["partitions_match"] = bool(
                 mask_labels(g_fast) == mask_labels(g_naive)
             )
-        if args.timing:
-            record["wall_seconds"] = wall
         records.append(record)
     write_json(records, args.out)
 

@@ -119,7 +119,7 @@ class ClusterTable:
     """
 
     frequencies: dict[int, int]
-    ranking: tuple[int, ...] = ()
+    ranking: tuple[int, ...]
 
     @property
     def sizes_ranked(self) -> tuple[int, ...]:

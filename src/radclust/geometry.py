@@ -17,8 +17,9 @@ exactly 0.  Inside that range a nonzero coordinate difference is at least
 ``2**-552``, every sum of squares stays below ``d * 2**1002`` (finite for
 any d below ``2**22``), and a square that rounds into the subnormal range
 is off by less than ``2**-1074``, under ``2**-74`` of ``r**2``: less than
-the rounding every sum of squares already carries.  Inputs outside the
-range are rejected with ``ValueError`` instead of being clustered wrongly.
+the rounding every sum of squares already carries.  ``PointSet`` refuses
+coordinates outside the range, and ``ClusteringConfig`` such a radius, with
+``ValueError`` instead of letting them be clustered wrongly.
 
 The distance predicate is applied only to candidate pairs from a uniform
 grid, the cell index of DBSCAN (Ester et al., KDD 1996) and of grid DBSCAN
@@ -87,7 +88,6 @@ __all__ = [
     "ClusteringConfig",
     "BinaryMatrix",
     "build_adjacency",
-    "require_memory",
     "SCALE_MIN",
     "SCALE_MAX",
 ]
@@ -143,21 +143,12 @@ def _physical_memory() -> int:
     return limit
 
 
-def require_memory(need: int, what: str) -> None:
-    """Raise ``ValueError`` when ``need`` bytes exceed the usable memory.
-
-    ``what`` names the use, e.g. ``"5 points need 50 bytes for ..."``.
-    """
-    have = _physical_memory()
-    if need > have:
-        raise ValueError(f"{what}, more than the {have} bytes of memory available")
-
-
 class PointSet:
     """An ordered set of uniquely labeled points of one dimension.
 
     ``coords`` is a read-only (N, d) float64 copy of the input, N >= 1 and
-    d >= 1, every value finite; ``ids`` is a tuple of N unique node ids,
+    d >= 1, every value 0 or of a magnitude in ``[SCALE_MIN, SCALE_MAX]``
+    (see the module docstring); ``ids`` is a tuple of N unique node ids,
     0..N-1 when none are given.  Ids are the nodes' identities, stable across
     trajectory frames.  Row order is the canonical node index order: row and
     column ``i`` of the adjacency matrix, entry ``i`` of the label vector and
@@ -178,10 +169,15 @@ class PointSet:
             raise ValueError(f"got {len(ids)} ids for {n} points")
         if d == 0:
             raise ValueError(f"point {ids[0]!r}: needs at least one coordinate")
-        finite = np.isfinite(arr).all(axis=1)
-        if not finite.all():
+        mag = np.abs(arr)
+        safe = (mag == 0.0) | ((mag >= SCALE_MIN) & (mag <= SCALE_MAX))
+        if not safe.all():
+            i, k = np.argwhere(~safe)[0]
+            if not np.isfinite(arr[i]).all():
+                raise ValueError(f"point {ids[i]!r}: coordinates must be finite")
             raise ValueError(
-                f"point {ids[int(finite.argmin())]!r}: coordinates must be finite"
+                f"point {ids[i]!r}: coordinate {float(arr[i, k])!r} is outside "
+                f"the safe magnitude range 0 or {_SAFE_RANGE}"
             )
         if len(set(ids)) != n:
             seen = set()
@@ -339,22 +335,17 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
     of a uniform grid (module docstring), in batches of ``_CHUNK_ELEMENTS``,
     and each kept pair is set in both directions; every entry equals that
     expression evaluated over all N x N pairs at once, bit for bit.  Raises
-    ``ValueError`` for a nonzero coordinate magnitude outside
-    ``[SCALE_MIN, SCALE_MAX]``, and, before allocating, when the ``N**2``
-    bytes of the boolean matrix exceed the usable memory (physical memory or
-    a lower cgroup limit); the matrix is frozen and wrapped, not copied.
+    ``ValueError``, before allocating, when the ``N**2`` bytes of the
+    boolean matrix exceed the usable memory (physical memory or a lower
+    cgroup limit); the matrix is frozen and wrapped, not copied.
     """
     coords = ps.coords
     n = coords.shape[0]
-    need = n * n
-    require_memory(need, f"{n} points need {need} bytes for the dense adjacency")
-    mag = np.abs(coords)
-    bad = (mag != 0.0) & ((mag < SCALE_MIN) | (mag > SCALE_MAX))
-    if bad.any():
-        i, k = np.argwhere(bad)[0]
+    have = _physical_memory()
+    if n * n > have:
         raise ValueError(
-            f"point {ps.ids[i]!r}: coordinate {float(coords[i, k])!r} is outside "
-            f"the safe magnitude range 0 or {_SAFE_RANGE}"
+            f"{n} points need {n * n} bytes for the dense adjacency, "
+            f"more than the {have} bytes of memory available"
         )
     bits = np.zeros((n, n), dtype=bool)
     pairs = _CellPairs(coords, cfg.radius * _CELL_MARGIN)

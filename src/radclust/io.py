@@ -11,7 +11,9 @@ integers, so distinct raw ids stay distinct; the column-level rule keeps
 ids mutually comparable for deterministic event ordering.
 
 All output is UTF-8 with LF line endings and fixed key order, so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files.  CSV rows are written by ``csv.writer``
+with minimal quoting: an id holding a comma, a quote or a line break is
+quoted, so it reads back as written; every other field is written as is.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ def read_points_csv(path: str) -> PointSet:
 
 
 def write_points_csv(ps: PointSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id," + ",".join(_coord_names(ps.dimension)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", *_coord_names(ps.dimension)])
         for node_id, row in zip(ps.ids, ps.coords):
-            values = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{node_id},{values}\n")
+            writer.writerow([node_id, *(repr(float(v)) for v in row)])
 
 
 def read_trajectory_csv(path: str) -> list[Frame]:
@@ -156,12 +158,13 @@ def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
     d = frames[0].points.dimension
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,id," + ",".join(_coord_names(d)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "id", *_coord_names(d)])
         for frame in frames:
+            t = repr(float(frame.t))
             for node_id, row in zip(frame.points.ids, frame.points.coords):
-                values = ",".join(repr(float(v)) for v in row)
-                fh.write(f"{repr(float(frame.t))},{node_id},{values}\n")
+                writer.writerow([t, node_id, *(repr(float(v)) for v in row)])
 
 
 def project_equirect(frames: Sequence[Frame]) -> list[Frame]:

@@ -51,7 +51,6 @@ from .clustering import LabelVector
 from .geometry import BinaryMatrix
 
 __all__ = [
-    "POWER_PEAK_BYTES_PER_ENTRY",
     "PowerPlan",
     "bool_multiply",
     "make_power_plan",
@@ -60,11 +59,6 @@ __all__ = [
     "mask_labels",
     "connected_components_oracle",
 ]
-
-# Peak bytes per matrix entry while ``power_fast`` squares an adjacency its
-# caller holds: the float32 operand and product (4 + 4), their boolean
-# comparison, the adjacency and the current power (1 each).
-POWER_PEAK_BYTES_PER_ENTRY = 11
 
 
 @dataclass(frozen=True)
@@ -120,8 +114,9 @@ def power_fast(a: BinaryMatrix) -> tuple[BinaryMatrix, int]:
     Stops at the first squaring that changes nothing, since every later one
     would return the same matrix.  Returns the power matrix and the planned
     multiplication count, which always equals ``make_power_plan(a.n).m``.
-    Memory peaks at ``POWER_PEAK_BYTES_PER_ENTRY * n**2`` bytes, ``a``
-    included.
+    Memory peaks at ``11 * n**2`` bytes, ``a`` included: the float32
+    operand and product (4 + 4 bytes an entry), their boolean comparison,
+    ``a`` and the current power (1 each).
     """
     plan = make_power_plan(a.n)
     g = a

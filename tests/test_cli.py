@@ -152,7 +152,9 @@ def test_cluster_rejects_coordinates_outside_safe_range(tmp_path, capsys, coord)
     inp.write_text(f"id,x,y\na,0,0\nb,{coord},0\n")
     code = main(["cluster", "--input", str(inp), "--radius", "1", "--out", str(tmp_path / "o.json")])
     assert code == 1
-    assert "safe magnitude range" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{inp}: point 'b': coordinate {float(coord)!r}" in err
+    assert "safe magnitude range" in err
 
 
 def test_cluster_reports_csv_line_numbers(tmp_path, capsys):
@@ -295,6 +297,17 @@ def test_generate_chain_csv(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == 0.0
+
+
+def test_generate_outside_safe_range_writes_nothing(tmp_path, capsys):
+    # 1e-200 apart is below SCALE_MIN: such a file could not be clustered.
+    out = tmp_path / "chain.csv"
+    code = main(
+        ["generate", "--kind", "chain", "--param", "n=3", "--param", "spacing=1e-200", "--out", str(out)]
+    )
+    assert code == 1
+    assert "point 1: coordinate 1e-200" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_is_byte_identical_across_runs(tmp_path):
@@ -542,6 +555,17 @@ def test_trajectory_rejects_inconsistent_ids(tmp_path, capsys):
     assert "t=1.0" in capsys.readouterr().err
 
 
+def test_trajectory_rejects_coordinates_outside_safe_range(tmp_path, capsys):
+    inp = tmp_path / "bad.csv"
+    inp.write_text("t,id,x,y\n0,0,0.0,0.0\n1,0,1e-200,0.0\n")
+    code = main(
+        ["trajectory", "--input", str(inp), "--radius", "1", "--out", str(tmp_path / "f.json")]
+    )
+    assert code == 1
+    assert f"{inp}: frame t=1.0: point 0: coordinate 1e-200" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
 def test_trajectory_rejects_decreasing_timestamps(tmp_path, capsys):
     inp = tmp_path / "bad.csv"
     inp.write_text("t,id,x,y\n5,0,0.0,0.0\n4,0,0.0,0.0\n")
@@ -627,24 +651,22 @@ def test_bench_growth_gap(tmp_path):
     assert rec["m"] == math.ceil(math.log2(500))
 
 
-def test_bench_timing_flag_adds_wall_seconds(tmp_path):
+def test_bench_reports_sizes_above_the_limit_from_the_plan(tmp_path):
+    # No N x N matrix is built above the 64-node check: 10**5 nodes would
+    # need 10 GB for the adjacency and 110 GB for the squarings.
     out = str(tmp_path / "bench.json")
-    assert main(["bench", "--bench-n", "10", "--out", out, "--timing"]) == 0
-    (rec,) = _read_json(out)
-    assert isinstance(rec["wall_seconds"], float)
-    assert rec["wall_seconds"] >= 0.0
-
-
-def test_bench_refuses_a_size_whose_squarings_exceed_memory(tmp_path, monkeypatch, capsys):
-    # n = 10 passes the adjacency's n**2 bytes but not the 11 * n**2 the
-    # float32 squarings peak at; the refusal comes before any size runs.
-    out = tmp_path / "bench.json"
-    monkeypatch.setattr(geometry, "_physical_memory", lambda: 11 * 10 * 10 - 1)
-    assert main(["bench", "--bench-n", "2,10", "--out", str(out)]) == 1
-    assert "--bench-n 10 needs 1100 bytes" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.setattr(geometry, "_physical_memory", lambda: 11 * 10 * 10)
-    assert main(["bench", "--bench-n", "2,10", "--out", str(out)]) == 0
+    assert main(["bench", "--bench-n", "2,100000", "--out", out]) == 0
+    small, large = _read_json(out)
+    assert small["partitions_match"] is True
+    assert large == {
+        "n": 100000,
+        "k": 50000,
+        "m": 16,
+        "naive_mults": 49999,
+        "fast_mults": 16,
+        "naive_executed": False,
+        "partitions_match": None,
+    }
 
 
 def test_bench_rejects_bad_sizes(tmp_path, capsys):

@@ -18,11 +18,16 @@ from helpers import pairwise_adjacency
 
 
 def test_point_rejects_bad_coords():
-    # The message names the first point holding a NaN or an infinity.
+    # The message names the first point, in row order, holding a NaN, an
+    # infinity or a magnitude outside the safe range; a row with a
+    # non-finite value is reported as such.
+    nan, inf = float("nan"), float("inf")
     cases = [
-        ([[1.0, float("nan")]], ["a"], "point 'a': coordinates must be finite"),
-        ([[0.0], [float("inf")]], None, "point 1: coordinates must be finite"),
-        ([[0.0, 0.0], [1.0, -float("inf")], [float("nan"), 0.0]], [5, 7, 9], "point 7:"),
+        ([[1.0, nan]], ["a"], "point 'a': coordinates must be finite"),
+        ([[0.0], [inf]], None, "point 1: coordinates must be finite"),
+        ([[0.0, 0.0], [1.0, -inf], [nan, 0.0]], [5, 7, 9], "point 7:"),
+        ([[1e-200, inf]], None, "point 0: coordinates must be finite"),
+        ([[0.0, 0.0], [0.0, 1e-200], [nan, 0.0]], None, "point 1: coordinate 1e-200 is outside"),
     ]
     for coords, ids, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -101,9 +106,9 @@ def test_config_accepts_safe_range_ends():
 def test_adjacency_rejects_coordinates_outside_safe_range(value):
     # 2e-200 apart at r = 1e-200 used to form one cluster: the squared
     # difference underflowed to 0.  Near 1e200 the squares overflow to inf.
-    ps = PointSet([[0.0, 0.0], [value, 0.0]])
+    # The point set refuses them, so no adjacency is ever built from them.
     with pytest.raises(ValueError, match=r"point 1: coordinate .* safe magnitude range"):
-        build_adjacency(ps, ClusteringConfig(radius=1.0))
+        PointSet([[0.0, 0.0], [value, 0.0]])
 
 
 def test_adjacency_is_exact_at_the_ends_of_the_safe_range():

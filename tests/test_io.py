@@ -46,6 +46,21 @@ def test_points_csv_round_trip_string_ids_and_3d(tmp_path):
         assert fh.readline().strip() == "id,x,y,z"
 
 
+def test_csv_writers_quote_ids_that_need_it(tmp_path):
+    ids = ("a,b", "x\ny", 'say "hi"', "plain")
+    coords = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    ps = PointSet(coords, ids)
+    points_path = str(tmp_path / "pts.csv")
+    write_points_csv(ps, points_path)
+    assert read_points_csv(points_path).ids == ids
+    frames = [Frame(t=t, points=PointSet(coords, ids)) for t in (0.0, 1.0)]
+    traj_path = str(tmp_path / "traj.csv")
+    write_trajectory_csv(frames, traj_path)
+    assert [f.points.ids for f in read_trajectory_csv(traj_path)] == [ids, ids]
+    with open(points_path, encoding="utf-8", newline="") as fh:
+        assert fh.read().endswith("\nplain,3.0,3.0\n")
+
+
 def test_points_csv_int_ids_stay_ints(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n7,0.0,0.0\n3,1.0,1.0\n")

@@ -5,7 +5,6 @@ import pytest
 
 from radclust.geometry import BinaryMatrix
 from radclust.matpower import (
-    POWER_PEAK_BYTES_PER_ENTRY,
     PowerPlan,
     bool_multiply,
     make_power_plan,
@@ -239,9 +238,9 @@ def test_squaring_transitive_closure_is_idempotent():
     assert bool_multiply(prev, prev) == prev
 
 
-def test_power_fast_peak_memory_matches_the_bench_guard():
-    # A chain runs every planned squaring; the bench's memory guard counts
-    # POWER_PEAK_BYTES_PER_ENTRY bytes per entry, the adjacency included.
+def test_power_fast_peak_memory_is_eleven_bytes_an_entry():
+    # A chain runs every planned squaring; the peak ``power_fast`` documents
+    # is 11 bytes per entry, the adjacency included.
     n = 600
     a = BinaryMatrix(chain_bits(n))
     tracemalloc.start()
@@ -253,5 +252,5 @@ def test_power_fast_peak_memory_matches_the_bench_guard():
     # The trace starts after ``a`` exists; its n * n bytes come on top.
     total = peak + a.bits.nbytes
     assert g != a
-    assert (POWER_PEAK_BYTES_PER_ENTRY - 1) * n * n < total
-    assert total <= POWER_PEAK_BYTES_PER_ENTRY * n * n + 2**12
+    assert (11 - 1) * n * n < total
+    assert total <= 11 * n * n + 2**12
