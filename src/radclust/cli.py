@@ -11,7 +11,7 @@ Four commands:
 
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.  Every
 error path prints a single ``error: ...`` line to stderr, and a failed run
-leaves none of the output files it created.
+leaves none of the output files or directories it created.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import shutil
 import sys
 from contextlib import contextmanager, suppress
 
@@ -140,38 +139,35 @@ def _check_distinct_outputs(*flagged: tuple[str, str | None]) -> None:
             seen[real] = flag
 
 
-def _remove(path: str) -> None:
-    with suppress(OSError):
-        if os.path.isdir(path) and not os.path.islink(path):
-            shutil.rmtree(path)
-        else:
-            os.remove(path)
+def _missing_dirs(path: str) -> list[str]:
+    """The directories ``os.makedirs(path)`` creates, innermost first."""
+    dirs = []
+    path = os.path.normpath(path)
+    while path and not os.path.lexists(path):
+        dirs.append(path)
+        path = os.path.dirname(path)
+    return dirs
 
 
 @contextmanager
-def _removed_on_error(*paths):
-    """Delete the outputs a failing block created under ``paths``.
+def _removed_on_error(files, dirs=()):
+    """Delete the outputs a failing block created.
 
-    A path that did not exist before the block is deleted whole (a directory
-    with everything in it); from a directory that did exist, only the
-    entries the block added are deleted.  Files that existed stay.
+    ``files`` lists every file the block may write and ``dirs`` every
+    directory it may create, each directory before its parent.  On failure
+    the listed paths that did not exist before the block are removed: files
+    first, then directories with ``os.rmdir``, which leaves a directory
+    holding anything else.  Nothing unlisted or pre-existing is touched.
     """
-    before = {}
-    for path in filter(None, paths):
-        if os.path.isdir(path):
-            before[path] = set(os.listdir(path))
-        elif not os.path.lexists(path):
-            before[path] = None
+    new_files = [path for path in files if path and not os.path.lexists(path)]
+    new_dirs = [path for path in dirs if not os.path.lexists(path)]
     try:
         yield
     except BaseException:
-        for path, entries in before.items():
-            if entries is None:
-                _remove(path)
-                continue
-            with suppress(OSError):
-                for name in set(os.listdir(path)) - entries:
-                    _remove(os.path.join(path, name))
+        for remove, paths in ((os.remove, new_files), (os.rmdir, new_dirs)):
+            for path in paths:
+                with suppress(OSError):
+                    remove(path)
         raise
 
 
@@ -181,7 +177,7 @@ def _cmd_cluster(args) -> None:
     ps = read_points_csv(args.input)
     _check_svg(args, ps)
     lv, table = cluster_pointset(ps, cfg)
-    with _removed_on_error(args.out, args.svg):
+    with _removed_on_error([args.out, args.svg]):
         write_json(cluster_payload(cfg.radius, lv, table), args.out)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
@@ -232,7 +228,10 @@ def _cmd_trajectory(args) -> None:
     _check_svg(args, frames[0].points)
     results = cluster_frames(frames, cfg)
     events = detect_events(results, frames)
-    with _removed_on_error(args.out, events_path, args.svg):
+    with _removed_on_error(
+        [args.out, events_path, *svg_files],
+        _missing_dirs(args.svg) if args.svg else (),
+    ):
         write_json(frames_payload(cfg.radius, frames, results), args.out)
         write_json(events_payload(events), events_path)
         if args.svg:

@@ -21,9 +21,9 @@ unfinished component thus merges with another, and the component's star
 count at least halves.  Starting from n one-node stars, at most
 ``2 floor(log2 n)`` rounds hook and one more finds nothing to hook: at most
 ``2 floor(log2 n) + 1`` rounds in all.  Each round reads the ``n x n``
-matrix once, in row blocks of a fixed budget, so the step costs
-``O(n**2 log n)`` time in the worst case and never holds more than one
-block's temporary.
+matrix once, as one masked row minimum over a broadcast view of the roots,
+so the step costs ``O(n**2 log n)`` time in the worst case and holds no
+temporary larger than a few length-n vectors.
 
 Label numbers are dense, starting at 1, in order of each cluster's
 lowest-index node.  The paper's route to the same partition, a matrix power
@@ -36,13 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    _CHUNK_ELEMENTS,
-    BinaryMatrix,
-    ClusteringConfig,
-    PointSet,
-    build_adjacency,
-)
+from .geometry import BinaryMatrix, ClusteringConfig, PointSet, build_adjacency
 
 __all__ = [
     "LabelVector",
@@ -126,23 +120,6 @@ class ClusterTable:
         return tuple(self.frequencies[c] for c in self.ranking)
 
 
-def _row_max(bits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Largest ``values[t]`` over the set bits t of each row of ``bits``.
-
-    Rows are read in blocks of about ``_CHUNK_ELEMENTS`` entries, so the
-    temporary stays small at any n.  Multiplying by the 0/1 row (0 where no
-    bit is set) instead of selecting with ``np.where`` keeps the inner loop
-    free of branches, several times faster on irregular rows.
-    """
-    n = bits.shape[0]
-    step = max(1, _CHUNK_ELEMENTS // n)
-    out = np.empty(n, dtype=values.dtype)
-    for start in range(0, n, step):
-        block = slice(start, start + step)
-        out[block] = (bits[block] * values).max(axis=1)
-    return out
-
-
 def _component_roots(bits: np.ndarray) -> tuple[np.ndarray, int]:
     """Hook stars onto lower roots until none can (see the module docstring).
 
@@ -151,15 +128,14 @@ def _component_roots(bits: np.ndarray) -> tuple[np.ndarray, int]:
     """
     n = bits.shape[0]
     # Node indices and n itself fit the narrowest unsigned dtype.
-    dtype = np.min_scalar_type(n)
-    top = dtype.type(n)
-    roots = np.arange(n, dtype=dtype)
+    roots = np.arange(n, dtype=np.min_scalar_type(n))
     rounds = 0
     while True:
         rounds += 1
-        # The lowest root among each node's neighbours, as n minus the
-        # highest n - root.
-        low = top - _row_max(bits, top - roots)
+        # The lowest root among each node's neighbours.
+        low = np.minimum.reduce(
+            np.broadcast_to(roots, bits.shape), axis=1, where=bits, initial=n
+        )
         hooks = low < roots
         if not hooks.any():
             return roots, rounds

@@ -99,9 +99,8 @@ SCALE_MIN = 2.0**-500
 SCALE_MAX = 2.0**500
 _SAFE_RANGE = f"[2**-500, 2**500] ({SCALE_MIN:.3g} to {SCALE_MAX:.3g})"
 
-# Candidate pairs per adjacency batch, and entries per row block of the
-# label step: 512 KiB per int64 or float64 temporary, small enough to stay
-# in cache.
+# Candidate pairs per adjacency batch: 512 KiB per int64 or float64
+# temporary, small enough to stay in cache.
 _CHUNK_ELEMENTS = 2**16
 
 # Grid cell side over r (module docstring).

@@ -11,14 +11,16 @@ integers, so distinct raw ids stay distinct; the column-level rule keeps
 ids mutually comparable for deterministic event ordering.
 
 All output is UTF-8 with LF line endings and fixed key order, so identical
-inputs produce byte-identical files.  CSV rows are written by ``csv.writer``
-with minimal quoting: an id holding a comma, a quote or a line break is
-quoted, so it reads back as written; every other field is written as is.
+inputs produce byte-identical files.  CSV fields are quoted minimally: an id
+holding a comma, a quote or a line break (``\n`` or ``\r``) is quoted, so
+it reads back as written; every other field is written as is.  Read errors
+name the physical line on which the bad record starts.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -66,48 +68,56 @@ def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
     return value
 
 
+def _records(fh):
+    """``(physical start line, row)`` of each non-blank CSV record."""
+    reader = csv.reader(fh)
+    line_no = 1
+    for row in reader:
+        if row:
+            yield line_no, row
+        line_no = reader.line_num + 1
+
+
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     """Raw ids and float block of a CSV whose header starts with ``lead``.
 
     ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
     timestamp, when there is one, which may not decrease, and then the
-    coordinate columns, at least one.  Each line is checked in full (field count, timestamp,
-    timestamp order, coordinates) before the next, so the first malformed
-    line is the one reported.
+    coordinate columns, at least one.  Each record is checked in full (field
+    count, timestamp, timestamp order, coordinates) before the next, so the
+    first malformed record is the one reported.
     """
-    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = [
-            (line_no, row)
-            for line_no, row in enumerate(csv.reader(fh), start=1)
-            if row  # skip blank lines
-        ]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header_no, header = rows[0]
-    names = [name.strip().lower() for name in header[: len(lead)]]
-    if len(header) <= len(lead) or names != list(lead):
-        raise ValueError(
-            f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
-            f"got {','.join(header)!r}"
-        )
     id_col = len(lead) - 1  # 1 after a timestamp column
     raw_ids: list[str] = []
     block: list[list[float]] = []
-    for line_no, row in rows[1:]:
-        if len(row) != len(header):
+    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        records = _records(fh)
+        header_no, header = next(records, (None, None))
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [name.strip().lower() for name in header[: len(lead)]]
+        if len(header) <= len(lead) or names != list(lead):
             raise ValueError(
-                f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
+                f"got {','.join(header)!r}"
             )
-        values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
-        if values and block and values[0] < block[-1][0]:
-            raise ValueError(
-                f"{path}: line {line_no}: timestamp {values[0]} decreases "
-                f"(previous was {block[-1][0]})"
-            )
-        values += [_parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]]
-        raw_ids.append(row[id_col].strip())
-        block.append(values)
+        for line_no, row in records:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
+            if values and block and values[0] < block[-1][0]:
+                raise ValueError(
+                    f"{path}: line {line_no}: timestamp {values[0]} decreases "
+                    f"(previous was {block[-1][0]})"
+                )
+            values += [
+                _parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]
+            ]
+            raw_ids.append(row[id_col].strip())
+            block.append(values)
     if not raw_ids:
         raise ValueError(f"{path}: no data rows")
     return raw_ids, np.array(block)
@@ -116,6 +126,24 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
 def _coord_names(d: int) -> list[str]:
     names = ["x", "y", "z"]
     return [names[i] if i < 3 else f"c{i}" for i in range(d)]
+
+
+def _csv_field(value) -> str:
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` with LF line ends and minimal quoting.
+
+    Unlike ``csv.writer`` with an LF terminator, this quotes a bare ``\r``,
+    at which a reader would end the record.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(map(_csv_field, row)) + "\n")
 
 
 def read_points_csv(path: str) -> PointSet:
@@ -128,11 +156,10 @@ def read_points_csv(path: str) -> PointSet:
 
 
 def write_points_csv(ps: PointSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", *_coord_names(ps.dimension)])
-        for node_id, row in zip(ps.ids, ps.coords):
-            writer.writerow([node_id, *(repr(float(v)) for v in row)])
+    rows = (
+        [node_id, *map(repr, row)] for node_id, row in zip(ps.ids, ps.coords.tolist())
+    )
+    _write_csv(path, ["id", *_coord_names(ps.dimension)], rows)
 
 
 def read_trajectory_csv(path: str) -> list[Frame]:
@@ -157,14 +184,12 @@ def read_trajectory_csv(path: str) -> list[Frame]:
 def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
-    d = frames[0].points.dimension
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "id", *_coord_names(d)])
-        for frame in frames:
-            t = repr(float(frame.t))
-            for node_id, row in zip(frame.points.ids, frame.points.coords):
-                writer.writerow([t, node_id, *(repr(float(v)) for v in row)])
+    rows = (
+        [repr(float(frame.t)), node_id, *map(repr, row)]
+        for frame in frames
+        for node_id, row in zip(frame.points.ids, frame.points.coords.tolist())
+    )
+    _write_csv(path, ["t", "id", *_coord_names(frames[0].points.dimension)], rows)
 
 
 def project_equirect(frames: Sequence[Frame]) -> list[Frame]:

@@ -153,7 +153,8 @@ def mask_labels(g: BinaryMatrix) -> LabelVector:
     the lowest index of j's component: the seed the scan labels j from.
     This computes that row for every j at once: ``first[t]`` is the lowest
     row with bit t set and ``seed[j]`` the least ``first[t]`` over row j's
-    bits; distinct seeds are ranked densely.
+    bits, one masked row minimum over a broadcast view of ``first`` with no
+    ``n x n`` integer temporary; distinct seeds are ranked densely.
 
     On an under-powered matrix the result need not be the components: a
     component longer than the matrix's reach can split.  That keeps the
@@ -163,11 +164,10 @@ def mask_labels(g: BinaryMatrix) -> LabelVector:
     bits = g.bits
     if not bits.any(axis=1).all():
         raise ValueError("power matrix has an all-zero row")
-    n = g.n
-    # Row indices and the fill value n fit the narrowest unsigned dtype,
-    # which keeps the n x n temporary of the next line small.
-    first = bits.argmax(axis=0).astype(np.min_scalar_type(n))
-    seed = np.where(bits, first, first.dtype.type(n)).min(axis=1)
+    first = bits.argmax(axis=0)
+    seed = np.minimum.reduce(
+        np.broadcast_to(first, bits.shape), axis=1, where=bits, initial=g.n
+    )
     _, labels = np.unique(seed, return_inverse=True)
     return LabelVector(labels + 1)
 

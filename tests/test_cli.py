@@ -493,6 +493,36 @@ def test_trajectory_failed_frame_svg_removes_a_new_svg_dir(tmp_path, monkeypatch
     assert list(run.iterdir()) == []
 
 
+def test_trajectory_failed_frame_svg_removes_new_parent_dirs(
+    tmp_path, monkeypatch, motorcade_csv
+):
+    # As above, with the SVG directory two levels below any that exists:
+    # makedirs creates a/, a/b/ and a/b/plots/, and all three go.
+    import radclust.svgplot as svgplot
+
+    render = svgplot.render_points_svg
+    calls = []
+
+    def failing_third_frame(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(svgplot, "render_points_svg", failing_third_frame)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "keep.txt").write_text("mine")
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", str(run / "frames.json"), "--svg", str(run / "a" / "b" / "plots"),
+        ]
+    )
+    assert code == 1 and len(calls) == 3
+    assert [p.name for p in run.iterdir()] == ["keep.txt"]
+
+
 def test_trajectory_writes_frame_svgs(tmp_path, motorcade_csv):
     out = str(tmp_path / "frames.json")
     svg_dir = tmp_path / "plots"

@@ -395,26 +395,20 @@ def test_labels_match_mask_scan_and_oracle_on_random_instances():
     n=st.integers(1, 40),
     d=st.sampled_from([1, 2, 3, 5]),
     seed=st.integers(0, 2**32 - 1),
-    budget=st.integers(1, 400),
     duplicates=st.booleans(),
     collinear=st.booleans(),
 )
 def test_component_labels_match_oracle_and_mask_scan_property(
-    n, d, seed, budget, duplicates, collinear
+    n, d, seed, duplicates, collinear
 ):
     coords = random_coords(seed, n, d, duplicates, collinear)
     ps = PointSet(coords)
-    saved = clustering._CHUNK_ELEMENTS
-    clustering._CHUNK_ELEMENTS = budget
-    try:
-        for r in boundary_radii(coords):
-            a = build_adjacency(ps, ClusteringConfig(r))
-            lv = cluster_labels(a)
-            assert lv == connected_components_oracle(a)
-            g, _ = power_fast(a)
-            assert np.array_equal(lv.labels, mask_scan_labels(g.bits))
-    finally:
-        clustering._CHUNK_ELEMENTS = saved
+    for r in boundary_radii(coords):
+        a = build_adjacency(ps, ClusteringConfig(r))
+        lv = cluster_labels(a)
+        assert lv == connected_components_oracle(a)
+        g, _ = power_fast(a)
+        assert np.array_equal(lv.labels, mask_scan_labels(g.bits))
 
 
 def path_bits(n, *orders):
@@ -477,18 +471,38 @@ def test_component_labels_on_adversarial_orders(name, n):
         assert lv == connected_components_oracle(BinaryMatrix(bits))
 
 
-def test_component_labels_peak_memory_on_complete_graph():
-    # Row blocks keep the label step's temporaries far below the n x n
-    # uint16 array (7.6 MiB here) the mask-scan labels need.
-    a = BinaryMatrix(np.ones((2000, 2000), dtype=bool))
+def traced_peak(label, a):
+    """``label(a)`` and the peak of the memory it allocates, in bytes.
+
+    A one-node call first loads what numpy imports lazily (``np.unique``
+    pulls in ``numpy.ma``, about 1 MiB), which is no cost of ``label``.
+    """
+    label(BinaryMatrix(np.ones((1, 1), dtype=bool)))
     tracemalloc.start()
     try:
-        lv = cluster_labels(a)
-        peak = tracemalloc.get_traced_memory()[1]
+        lv = label(a)
+        return lv, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_component_labels_peak_memory_on_complete_graph():
+    # Each round's masked row minimum reads a broadcast view of the roots,
+    # so the label step holds only length-n vectors, far below the n x n
+    # input (3.8 MiB here).
+    a = BinaryMatrix(np.ones((2000, 2000), dtype=bool))
+    lv, peak = traced_peak(cluster_labels, a)
     assert lv.labels.tolist() == [1] * 2000
     assert peak <= 2**20
+
+
+def test_mask_labels_peak_memory_on_complete_graph():
+    # The masked row minimum reads a broadcast view of ``first``; what
+    # remains is the n x n boolean copy ``argmax(axis=0)`` makes.
+    n = 2000
+    lv, peak = traced_peak(mask_labels, BinaryMatrix(np.ones((n, n), dtype=bool)))
+    assert lv.labels.tolist() == [1] * n
+    assert peak <= n * n + 2**20
 
 
 def brute_force_events(results, frames):

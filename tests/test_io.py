@@ -1,8 +1,12 @@
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radclust.clustering import build_cluster_table, cluster_pointset
 from radclust.geometry import ClusteringConfig, PointSet
@@ -59,6 +63,45 @@ def test_csv_writers_quote_ids_that_need_it(tmp_path):
     assert [f.points.ids for f in read_trajectory_csv(traj_path)] == [ids, ids]
     with open(points_path, encoding="utf-8", newline="") as fh:
         assert fh.read().endswith("\nplain,3.0,3.0\n")
+
+
+def test_csv_writers_quote_an_id_holding_a_carriage_return(tmp_path):
+    ids = ("a\rb", "c")
+    coords = [[0.0, 0.0], [1.0, 1.0]]
+    points_path = str(tmp_path / "pts.csv")
+    write_points_csv(PointSet(coords, ids), points_path)
+    assert read_points_csv(points_path).ids == ids
+    with open(points_path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == 'id,x,y\n"a\rb",0.0,0.0\nc,1.0,1.0\n'
+    frames = [Frame(t=t, points=PointSet(coords, ids)) for t in (0.0, 1.0)]
+    traj_path = str(tmp_path / "traj.csv")
+    write_trajectory_csv(frames, traj_path)
+    assert [f.points.ids for f in read_trajectory_csv(traj_path)] == [ids, ids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(
+        st.text(st.characters(blacklist_characters="\r"), max_size=6),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    )
+)
+def test_points_csv_matches_csv_writer_for_ids_without_carriage_returns(
+    tmp_path_factory, ids
+):
+    # csv.writer with an LF terminator is the reference wherever it is right.
+    coords = np.arange(2.0 * len(ids)).reshape(-1, 2) / 3
+    path = tmp_path_factory.getbasetemp() / "writer_reference.csv"
+    write_points_csv(PointSet(coords, ids), str(path))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["id", "x", "y"])
+    for node_id, row in zip(ids, coords):
+        writer.writerow([node_id, *(repr(float(v)) for v in row)])
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == expected.getvalue()
 
 
 def test_points_csv_int_ids_stay_ints(tmp_path):
@@ -120,6 +163,14 @@ def test_points_csv_bad_coordinate_names_line(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,0.0,0.0\n1,oops,2.0\n")
     with pytest.raises(ValueError, match="line 3.*'oops'"):
+        read_points_csv(str(path))
+
+
+def test_points_csv_error_names_the_physical_line_after_a_quoted_line_break(tmp_path):
+    # The second record spans lines 2 and 3, so the third starts on line 4.
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b'id,x,y\n"x\ny",0,0\nb,oops,1\n')
+    with pytest.raises(ValueError, match="line 4: invalid coordinate 'oops'"):
         read_points_csv(str(path))
 
 
