@@ -82,7 +82,11 @@ def test_csv_writers_quote_an_id_holding_a_carriage_return(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(
     ids=st.lists(
-        st.text(st.characters(blacklist_characters="\r"), max_size=6),
+        st.text(
+            # Lone surrogates (Cs) have no UTF-8 form, so no file holds them.
+            st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+            max_size=6,
+        ),
         min_size=1,
         max_size=4,
         unique=True,
