@@ -9,9 +9,10 @@ Four commands:
 * ``bench``      compare multiplication counts of the sequential and
   repeated-squaring power methods over a list of sizes.
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.  Every
-error path prints a single ``error: ...`` line to stderr, and a failed run
-leaves none of the output files or directories it created.
+Exit codes: 0 success, 1 input error (an input too large for memory
+included), 2 internal invariant violation.  Every error path prints a single
+``error: ...`` line to stderr, and a failed run leaves none of the output
+files or directories it created.
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
         _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - invariant violations surface here
         print(f"internal error: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Point CSV: header ``id,x,y[,z...]``, one row per node, at least one
 coordinate column.  Trajectory CSV: header ``t,id,x,y[,...]``, rows grouped
-by non-decreasing timestamp; every timestamp group must contain the same ids.
+by non-decreasing timestamp; every timestamp group must contain the same ids
+(``validate_frames``).  The trajectory writer refuses, before opening its
+file, frames whose timestamps, id sets or dimensions would not read back as
+written.
 
 The id column is parsed as integers when every value in the file is an
 integer in canonical form (``7``, ``-3``; not ``07``, ``+7`` or ``-0``),
@@ -30,7 +33,7 @@ import numpy as np
 
 from .clustering import ClusterTable, LabelVector, cluster_color_names
 from .geometry import PointSet
-from .trajectory import ClusterEvent, Frame
+from .trajectory import ClusterEvent, Frame, validate_frames
 
 __all__ = [
     "read_points_csv",
@@ -68,14 +71,21 @@ def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
     return value
 
 
-def _records(fh):
-    """``(physical start line, row)`` of each non-blank CSV record."""
+def _records(fh, path: str):
+    """``(physical start line, row)`` of each non-blank CSV record.
+
+    A record the ``csv`` module refuses (a field over its size limit, say)
+    raises ``ValueError`` naming ``path`` and the line the record starts on.
+    """
     reader = csv.reader(fh)
     line_no = 1
-    for row in reader:
-        if row:
-            yield line_no, row
-        line_no = reader.line_num + 1
+    try:
+        for row in reader:
+            if row:
+                yield line_no, row
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {line_no}: {exc}") from None
 
 
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
@@ -92,7 +102,7 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     block: list[list[float]] = []
     # utf-8-sig drops a leading byte-order mark, which would spoil the header.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        records = _records(fh)
+        records = _records(fh, path)
         header_no, header = next(records, (None, None))
         if header is None:
             raise ValueError(f"{path}: empty file")
@@ -182,21 +192,41 @@ def read_trajectory_csv(path: str) -> list[Frame]:
 
 
 def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
-    if not frames:
-        raise ValueError("a trajectory needs at least one frame")
+    """Write ``frames`` as a trajectory CSV that reads back frame for frame.
+
+    Before ``path`` is opened, refuses what the reader would refuse or merge:
+    frames that break :func:`validate_frames`, equal consecutive timestamps
+    (one run of rows), a non-finite timestamp, or frames of mixed dimension.
+    """
+    validate_frames(frames)
+    d = frames[0].points.dimension
+    for prev, frame in zip([None, *frames], frames):
+        if not math.isfinite(frame.t):
+            raise ValueError(f"frame t={frame.t}: timestamps must be finite")
+        if prev is not None and frame.t == prev.t:
+            raise ValueError(
+                f"frame t={frame.t}: equal consecutive timestamps would read back as one frame"
+            )
+        if frame.points.dimension != d:
+            raise ValueError(
+                f"frame t={frame.t}: {frame.points.dimension} coordinates, the first frame has {d}"
+            )
     rows = (
         [repr(float(frame.t)), node_id, *map(repr, row)]
         for frame in frames
         for node_id, row in zip(frame.points.ids, frame.points.coords.tolist())
     )
-    _write_csv(path, ["t", "id", *_coord_names(frames[0].points.dimension)], rows)
+    _write_csv(path, ["t", "id", *_coord_names(d)], rows)
 
 
 def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
     """Convert (lat, lon) degrees to planar meters about the first frame's centroid.
 
     Equirectangular approximation: good over the few kilometers a moving
-    group spans; callers needing geodesic accuracy should pre-project.
+    group spans; callers needing geodesic accuracy should pre-project.  A
+    longitude more than 180 degrees from the first frame's first point is
+    shifted by -360 or +360 first, so a group straddling the antimeridian
+    stays together; every other longitude is used as is.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
@@ -204,12 +234,21 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
         raise ValueError(
             "equirectangular projection needs exactly 2 coordinate columns (lat, lon)"
         )
-    lat0, lon0 = frames[0].points.coords.mean(axis=0)
+    lon_ref = frames[0].points.coords[0, 1]
+
+    def longitudes(coords: np.ndarray) -> np.ndarray:
+        lon = coords[:, 1]
+        lon = np.where(lon - lon_ref > 180.0, lon - 360.0, lon)
+        return np.where(lon - lon_ref < -180.0, lon + 360.0, lon)
+
+    first = np.copy(frames[0].points.coords)  # same layout, same mean bits
+    first[:, 1] = longitudes(first)
+    lat0, lon0 = first.mean(axis=0)
     cos_lat0 = math.cos(math.radians(lat0))
     projected = []
     for frame in frames:
         lat = frame.points.coords[:, 0]
-        lon = frame.points.coords[:, 1]
+        lon = longitudes(frame.points.coords)
         x = EARTH_RADIUS_M * np.radians(lon - lon0) * cos_lat0
         y = EARTH_RADIUS_M * np.radians(lat - lat0)
         points = PointSet(np.column_stack([x, y]), frame.points.ids)
@@ -252,7 +291,7 @@ def frames_payload(
             "labels": lv.labels.tolist(),
             "clusters": _cluster_records(table),
         }
-        for frame, (lv, table) in zip(frames, results)
+        for frame, (lv, table) in zip(frames, results, strict=True)
     ]
     return {"radius": float(radius), "n_frames": len(per_frame), "frames": per_frame}
 

@@ -49,7 +49,10 @@ def _positive(name: str, value) -> float:
 
 
 def _count(name: str, value) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        n = 0
     if n < 1 or n != value:
         raise ValueError(f"{name} must be a positive integer, got {value}")
     return n

@@ -6,7 +6,8 @@ shared member ids: a cluster at frame t-1 is a parent of a cluster at frame t
 when they share at least one node, so the links are the distinct (frame
 pair, parent, child) triples of the nodes.  A parent with two or more
 children splits; a child with two or more parents merges.  Geometry never
-enters event detection, only membership.
+enters event detection, only membership.  :func:`validate_frames` alone holds
+the trajectory rules; :func:`detect_events` checks through it.
 """
 
 from __future__ import annotations
@@ -56,11 +57,18 @@ class ClusterEvent:
     member_ids: tuple[NodeId, ...]
 
 
-def _first_frame_positions(frames: Sequence[Frame]) -> list[np.ndarray]:
-    """Per frame, each row's id's position among the first frame's ids.
+def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
+    """Check the trajectory rules and align every frame's rows to the first's.
 
-    Raises ``ValueError`` naming the first frame whose id set differs.
+    A trajectory has at least one frame, non-decreasing timestamps and one id
+    set.  Returns, per frame, each row's id's position among the first
+    frame's ids.  ``ValueError`` names the first frame that breaks a rule.
     """
+    if not frames:
+        raise ValueError("a trajectory needs at least one frame")
+    for prev, frame in zip(frames, frames[1:]):
+        if frame.t < prev.t:
+            raise ValueError(f"frame t={frame.t}: timestamps must be non-decreasing")
     first = frames[0].points.ids
     index = {node_id: k for k, node_id in enumerate(first)}
     positions = []
@@ -81,21 +89,10 @@ def _first_frame_positions(frames: Sequence[Frame]) -> list[np.ndarray]:
     return positions
 
 
-def validate_frames(frames: Sequence[Frame]) -> None:
-    """Check timestamps are non-decreasing and all frames share one id set."""
-    if not frames:
-        raise ValueError("a trajectory needs at least one frame")
-    for prev, frame in zip(frames, frames[1:]):
-        if frame.t < prev.t:
-            raise ValueError(f"frame t={frame.t}: timestamps must be non-decreasing")
-    _first_frame_positions(frames)
-
-
 def cluster_frames(
     frames: Sequence[Frame], cfg: ClusteringConfig
 ) -> list[tuple[LabelVector, ClusterTable]]:
     """Cluster each frame independently; output order matches input order."""
-    validate_frames(frames)
     return [cluster_pointset(frame.points, cfg) for frame in frames]
 
 
@@ -106,16 +103,16 @@ def detect_events(
     """Find splits and merges between each pair of consecutive frames.
 
     The triples (module docstring) come from one F x n label matrix in the
-    first frame's id order.  Events are ordered by frame, then splits before
-    merges, then by lowest member id.  ``ValueError`` names a frame whose ids
-    differ from the first frame's or whose label count is not its point count.
+    first frame's id order, which :func:`validate_frames` gives.  Events are
+    ordered by frame, then splits before merges, then by lowest member id.
+    ``ValueError`` names a frame that breaks a trajectory rule or whose label
+    count is not its point count.
     """
     if len(results) != len(frames):
         raise ValueError("results and frames must have equal length")
-    if not frames:
-        return []
+    positions = validate_frames(frames)
     aligned = np.empty((len(frames), len(frames[0].points)), dtype=np.int64)
-    for f, pos in enumerate(_first_frame_positions(frames)):
+    for f, pos in enumerate(positions):
         labels = results[f][0].labels
         if labels.size != pos.size:
             raise ValueError(

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import pytest
 
 import radclust.geometry as geometry
+import radclust.scenarios as scenarios
 from radclust.cli import main
 from radclust.io import write_trajectory_csv
 from radclust.trajectory import synthetic_motorcade
@@ -166,6 +168,16 @@ def test_cluster_reports_csv_line_numbers(tmp_path, capsys):
     assert "line 3" in err and "oops" in err
 
 
+def test_cluster_field_over_the_csv_size_limit_exits_one(tmp_path, capsys):
+    inp = tmp_path / "big.csv"
+    inp.write_text(f"id,x,y\n0,0.0,0.0\n{'a' * (csv.field_size_limit() + 1)},1.0,1.0\n")
+    out = tmp_path / "o.json"
+    code = main(["cluster", "--input", str(inp), "--radius", "1", "--out", str(out)])
+    assert code == 1
+    assert f"error: {inp}: line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_svg_of_3d_points_writes_nothing(tmp_path, capsys):
     inp = tmp_path / "pts.csv"
     inp.write_text("id,x,y,z\n0,0.0,0.0,0.0\n1,1.0,0.0,0.0\n")
@@ -307,6 +319,28 @@ def test_generate_outside_safe_range_writes_nothing(tmp_path, capsys):
     )
     assert code == 1
     assert "point 1: coordinate 1e-200" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_infinite_count_exits_one(tmp_path, capsys):
+    out = tmp_path / "chain.csv"
+    code = main(
+        ["generate", "--kind", "chain", "--param", "n=1e400", "--param", "spacing=1", "--out", str(out)]
+    )
+    assert code == 1
+    assert "error: n must be a positive integer, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_out_of_memory_exits_one(tmp_path, monkeypatch, capsys):
+    def builder(**params):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setitem(scenarios._BUILDERS, "chain", builder)
+    out = tmp_path / "chain.csv"
+    code = main(["generate", "--kind", "chain", "--param", "n=1", "--out", str(out)])
+    assert code == 1
+    assert "error: out of memory: Unable to allocate 72.8 TiB" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -583,6 +617,7 @@ def test_trajectory_rejects_inconsistent_ids(tmp_path, capsys):
     )
     assert code == 1
     assert "t=1.0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def test_trajectory_rejects_coordinates_outside_safe_range(tmp_path, capsys):
@@ -641,6 +676,18 @@ def test_trajectory_equirect_projection_changes_partition(tmp_path):
     )
     assert _read_json(raw_out)["frames"][0]["labels"] == [1, 1]
     assert _read_json(proj_out)["frames"][0]["labels"] == [1, 2]
+
+
+def test_trajectory_equirect_keeps_a_pair_across_the_antimeridian_together(tmp_path):
+    # 179.95 and -179.95 degrees at latitude -17 are about 10.6 km apart.
+    inp = tmp_path / "geo.csv"
+    inp.write_text("t,id,lat,lon\n0,0,-17.0,179.95\n0,1,-17.0,-179.95\n")
+    out = str(tmp_path / "proj.json")
+    code = main(
+        ["trajectory", "--input", str(inp), "--radius", "50000", "--out", out, "--project", "equirect"]
+    )
+    assert code == 0
+    assert _read_json(out)["frames"][0]["labels"] == [1, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,16 @@ def test_points_csv_error_names_the_physical_line_after_a_quoted_line_break(tmp_
         read_points_csv(str(path))
 
 
+
+def test_points_csv_field_over_the_csv_size_limit_names_the_line(tmp_path):
+    # The limit is the csv module's, process-wide; the reader leaves it as is.
+    path = tmp_path / "pts.csv"
+    long_id = "a" * (csv.field_size_limit() + 1)
+    path.write_text(f"id,x,y\n0,0.0,0.0\n{long_id},1.0,1.0\n")
+    with pytest.raises(ValueError, match=r"pts\.csv: line 3: field larger than field limit"):
+        read_points_csv(str(path))
+
+
 def test_points_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,inf,0.0\n")
@@ -218,6 +228,43 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert loaded.t == orig.t
         assert loaded.points.ids == orig.points.ids
         assert np.array_equal(loaded.points.coords, orig.points.coords)
+
+
+
+def _frame(t, rows, ids=None):
+    return Frame(t=t, points=PointSet(rows, ids))
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        (
+            [_frame(1.0, [[0.0, 0.0]]), _frame(0.0, [[0.0, 0.0]])],
+            r"t=0\.0: timestamps must be non-decreasing",
+        ),
+        (
+            [_frame(0.0, [[0.0, 0.0]], ids=[0]), _frame(1.0, [[0.0, 0.0]], ids=[1])],
+            r"t=1\.0: node ids do not match the first frame",
+        ),
+        (
+            [_frame(0.0, [[0.0, 0.0]]), _frame(0.0, [[5.0, 0.0]])],
+            r"t=0\.0: equal consecutive timestamps",
+        ),
+        ([_frame(math.inf, [[0.0, 0.0]])], r"t=inf: timestamps must be finite"),
+        (
+            [_frame(0.0, [[0.0, 0.0]]), _frame(1.0, [[0.0, 0.0, 0.0]])],
+            r"t=1\.0: 3 coordinates, the first frame has 2",
+        ),
+    ],
+    ids=["decreasing-t", "changed-ids", "equal-t", "non-finite-t", "mixed-dimension"],
+)
+def test_trajectory_csv_writer_refuses_frames_that_would_not_read_back(
+    tmp_path, frames, message
+):
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=message):
+        write_trajectory_csv(frames, str(path))
+    assert not path.exists()
 
 
 def test_trajectory_csv_groups_consecutive_rows(tmp_path):
@@ -315,6 +362,18 @@ def test_equirect_projection_centers_on_first_frame():
     assert dy == pytest.approx(EARTH_RADIUS_M * math.radians(0.002), rel=1e-9)
 
 
+
+def test_equirect_projection_keeps_a_pair_across_the_antimeridian_together():
+    # 0.1 degrees of longitude apart across +-180: about 10.6 km, not 38,000.
+    frame = Frame(t=0.0, points=PointSet([(-17.0, 179.95), (-17.0, -179.95)]))
+    (projected,) = project_equirect([frame])
+    gap = np.hypot(*(projected.points.coords[1] - projected.points.coords[0]))
+    expected = EARTH_RADIUS_M * math.radians(0.1) * math.cos(math.radians(17.0))
+    assert gap == pytest.approx(expected, rel=1e-9)
+    lv, _ = cluster_pointset(projected.points, ClusteringConfig(radius=50000.0))
+    assert lv.n_clusters == 1
+
+
 def test_equirect_requires_two_columns():
     frame = Frame(t=0.0, points=PointSet([(1.0, 2.0, 3.0)]))
     with pytest.raises(ValueError, match="2 coordinate columns"):
@@ -352,6 +411,14 @@ def test_frames_payload_structure():
     assert list(first) == ["t", "ids", "labels", "clusters"]
     assert first["ids"] == [0, 1, 2, 3, 4, 5, 6]
     assert first["labels"] == [1] * 7
+
+
+
+def test_frames_payload_refuses_fewer_results_than_frames():
+    frames = synthetic_motorcade()[:2]
+    results = cluster_frames(frames[:1], ClusteringConfig(radius=15.0))
+    with pytest.raises(ValueError, match="zip"):
+        frames_payload(15.0, frames, results)
 
 
 def test_events_payload_records():

@@ -68,6 +68,26 @@ def test_equal_timestamps_are_allowed():
     validate_frames(frames)  # must not raise
 
 
+def test_validate_returns_each_rows_position_among_the_first_frames_ids():
+    frames = [
+        _frame(0, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ids=["a", "b", "c"]),
+        _frame(1, [[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]], ids=["c", "a", "b"]),
+    ]
+    first, shuffled = validate_frames(frames)
+    assert first.tolist() == [0, 1, 2]
+    assert shuffled.tolist() == [2, 0, 1]
+
+
+def test_cluster_frames_clusters_frames_whose_id_sets_differ():
+    # Clustering a frame needs no trajectory rule; detect_events holds them.
+    frames = [
+        _frame(0, [[0.0, 0.0], [1.0, 0.0]], ids=[0, 1]),
+        _frame(1, [[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]], ids=[0, 2, 3]),
+    ]
+    results = cluster_frames(frames, ClusteringConfig(radius=2.0))
+    assert [lv.n_clusters for lv, _ in results] == [1, 3]
+
+
 # ---------------------------------------------------------------------------
 # Event detection
 # ---------------------------------------------------------------------------
@@ -157,6 +177,19 @@ def test_detect_events_requires_matching_lengths():
     frames = [_frame(0, [[0.0, 0.0]])]
     with pytest.raises(ValueError):
         detect_events([], frames)
+
+
+def test_detect_events_rejects_decreasing_timestamps():
+    frames = [_frame(1, [[0.0, 0.0], [1.0, 0.0]]), _frame(0, [[0.0, 0.0], [5.0, 0.0]])]
+    cfg = ClusteringConfig(radius=2.0)
+    results = [cluster_pointset(frame.points, cfg) for frame in frames]
+    with pytest.raises(ValueError, match="t=0.0: timestamps must be non-decreasing"):
+        detect_events(results, frames)
+
+
+def test_detect_events_rejects_an_empty_trajectory():
+    with pytest.raises(ValueError, match="at least one frame"):
+        detect_events([], [])
 
 
 def test_detect_events_rejects_changing_id_sets():
