@@ -16,17 +16,37 @@ ids mutually comparable for deterministic event ordering.
 All output is UTF-8 with LF line endings and fixed key order, so identical
 inputs produce byte-identical files.  CSV fields are quoted minimally: an id
 holding a comma, a quote or a line break (``\n`` or ``\r``) is quoted, so
-it reads back as written; every other field is written as is.  Read errors
-name the physical line on which the bad record starts.
+it reads back as written; every other field is written as is.  Both CSV
+writers refuse, before opening their file, ids that would not read back
+unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
+
+The reader works by column: one ``csv.reader`` pass, then ``float()`` over
+each column and one vectorised finiteness and timestamp-order check.  Only
+when one of those checks fails does it read the file again record by
+record, to report the first bad record with its physical line, exactly as
+a record-by-record reader would.
+
+:func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
+plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
+Python, a call per value.  Here the C encoder (``json.encoder.c_make_encoder``)
+writes every scalar, one call for all the lists of scalars at one nesting
+level, with an item separator that carries that level's line break and
+indent; dicts that share a key order are encoded a key at a time.  Python
+handles the nesting, not the items.  A value of any other type (a subclass,
+a numpy scalar) or a reference cycle hands the whole document to
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
+import operator
 import re
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -54,8 +74,8 @@ _INT_RE = re.compile(r"-?[1-9][0-9]*\Z|0\Z")
 
 
 def _parse_ids(raw_ids: list[str]) -> list:
-    if all(_INT_RE.match(token) for token in raw_ids):
-        return [int(token) for token in raw_ids]
+    if all(map(_INT_RE.match, set(raw_ids))):
+        return list(map(int, raw_ids))
     return list(raw_ids)
 
 
@@ -93,9 +113,47 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
 
     ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
     timestamp, when there is one, which may not decrease, and then the
-    coordinate columns, at least one.  Each record is checked in full (field
-    count, timestamp, timestamp order, coordinates) before the next, so the
-    first malformed record is the one reported.
+    coordinate columns, at least one.  The columns are parsed whole; when any
+    check fails, :func:`_read_records` reads the file again to report the
+    first bad record.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            rows = list(filter(None, csv.reader(fh)))  # the non-blank records
+        except (csv.Error, ValueError):  # ValueError: bytes that are not UTF-8
+            rows = []
+    header = rows[0] if rows else []
+    names = [name.strip().lower() for name in header[: len(lead)]]
+    if (
+        len(rows) < 2
+        or len(header) <= len(lead)
+        or names != list(lead)
+        or len(set(map(len, rows))) != 1
+    ):
+        return _read_records(path, lead)
+    columns = list(zip(*rows))
+    del rows, header  # the row lists; the columns keep their strings
+    n = len(columns[0]) - 1
+    raw_ids = list(map(str.strip, columns.pop(len(lead) - 1)[1:]))
+    block = np.empty((n, len(columns)))
+    try:
+        for j, column in enumerate(columns):
+            block[:, j] = np.fromiter(map(float, itertools.islice(column, 1, None)), float, n)
+    except ValueError:
+        return _read_records(path, lead)
+    del columns
+    stamps = block[:, 0]
+    if not np.isfinite(block).all() or (len(lead) > 1 and (stamps[1:] < stamps[:-1]).any()):
+        return _read_records(path, lead)
+    return raw_ids, block
+
+
+def _read_records(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """:func:`_read_csv` record by record, which words the error of a bad file.
+
+    Each record is checked in full (field count, timestamp, timestamp order,
+    coordinates) before the next, so the first malformed record is the one
+    reported.
     """
     id_col = len(lead) - 1  # 1 after a timestamp column
     raw_ids: list[str] = []
@@ -165,7 +223,22 @@ def read_points_csv(path: str) -> PointSet:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _check_ids_read_back(ids: Sequence) -> None:
+    """Refuse ids that the reader would return changed in value or type.
+
+    The reader strips each id and reads the column as integers only when
+    every id is one in canonical form, so ``' b'`` would read back as ``'b'``
+    and ``1`` beside ``'x'`` as ``'1'``.
+    """
+    back = _parse_ids([str(node_id).strip() for node_id in ids])
+    for node_id, read in zip(ids, back):
+        if type(read) is not type(node_id) or read != node_id:
+            raise ValueError(f"id {node_id!r} would read back as {read!r}")
+
+
 def write_points_csv(ps: PointSet, path: str) -> None:
+    """Write ``ps`` as a point CSV; refuses ids that would not read back."""
+    _check_ids_read_back(ps.ids)
     rows = (
         [node_id, *map(repr, row)] for node_id, row in zip(ps.ids, ps.coords.tolist())
     )
@@ -194,15 +267,15 @@ def read_trajectory_csv(path: str) -> list[Frame]:
 def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
     """Write ``frames`` as a trajectory CSV that reads back frame for frame.
 
-    Before ``path`` is opened, refuses what the reader would refuse or merge:
-    frames that break :func:`validate_frames`, equal consecutive timestamps
-    (one run of rows), a non-finite timestamp, or frames of mixed dimension.
+    Before ``path`` is opened, refuses what the reader would refuse, change
+    or merge: frames that break :func:`validate_frames`, ids that would not
+    read back, equal consecutive timestamps (one run of rows), or frames of
+    mixed dimension.
     """
     validate_frames(frames)
+    _check_ids_read_back(frames[0].points.ids)
     d = frames[0].points.dimension
     for prev, frame in zip([None, *frames], frames):
-        if not math.isfinite(frame.t):
-            raise ValueError(f"frame t={frame.t}: timestamps must be finite")
         if prev is not None and frame.t == prev.t:
             raise ValueError(
                 f"frame t={frame.t}: equal consecutive timestamps would read back as one frame"
@@ -309,7 +382,96 @@ def events_payload(events: Sequence[ClusterEvent]) -> list[dict]:
     ]
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_STR_TYPE = frozenset({str})
+
+
+class _NotPlain(Exception):
+    """The document holds a value that :func:`write_json` leaves to ``json.dumps``."""
+
+
+def _not_plain(value):
+    raise _NotPlain
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(level: int):
+    """The C encoder for scalar-only containers whose items sit at ``level``.
+
+    Its item separator breaks the line and indents to ``level``, so it
+    writes the items exactly as ``json.dumps(indent=2)`` does; only the
+    brackets need their line breaks added.
+    """
+    return c_make_encoder(
+        None, _not_plain, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * level, False, False, True,
+    )
+
+
+def _texts(values: list, level: int) -> list[str]:
+    """``json.dumps(v, indent=2)`` of each of the non-empty ``values``, opened at ``level``.
+
+    Values of one kind share encoder calls.  Scalars, and lists that hold
+    only scalars, take one call of the C encoder for the whole list: no
+    encoded scalar holds a raw line break, so its item separator, between a
+    closing and an opening bracket, splits the texts apart.  The items of
+    lists that hold containers are encoded as one list and cut back apart.
+    Dicts with one key order are encoded a key at a time, each key's values
+    as one list.  Python recursion walks only the nesting, never the items.
+    """
+    kinds = set(map(type, values))
+    if _SCALAR_TYPES.issuperset(kinds):
+        return "".join(_flat_encoder(0)(values, 0))[1:-1].split(",\n")
+    if len(kinds) > 1:
+        return [_texts([value], level)[0] for value in values]
+    kind = kinds.pop()
+    inner = "\n" + "  " * (level + 1)
+    outer = inner[:-2]
+    if kind is dict:
+        # Dicts share columns when their keys print alike, as equal str keys
+        # in one order do; 1, 1.0 and True are equal keys that print apart.
+        if len(values) > 1 and (
+            len(set(map(tuple, values))) > 1
+            or not _STR_TYPE.issuperset(map(type, itertools.chain.from_iterable(values)))
+        ):
+            return [_texts([value], level)[0] for value in values]
+        if not values[0]:
+            return ["{}"] * len(values)
+        if not _SCALAR_TYPES.issuperset(map(type, values[0])):
+            raise _NotPlain  # a key json.dumps refuses
+        pieces = []
+        for key in values[0]:
+            name = encode_basestring_ascii(key if type(key) is str else _texts([key], 0)[0])
+            head = ("," if pieces else "{") + inner + name + ": "
+            column = _texts(list(map(operator.itemgetter(key), values)), level + 1)
+            pieces += [itertools.repeat(head), column]
+        return list(map("".join, zip(*pieces, itertools.repeat(outer + "}"))))
+    if kind is not list and kind is not tuple:
+        raise _NotPlain
+    items = list(itertools.chain.from_iterable(values))
+    if not _SCALAR_TYPES.issuperset(map(type, items)):
+        texts = iter(_texts(items, level + 1))
+        return [
+            "[" + inner + ("," + inner).join(itertools.islice(texts, len(value))) + outer + "]"
+            if value
+            else "[]"
+            for value in values
+        ]
+    text = "".join(_flat_encoder(level + 1)(values, 0))
+    return [
+        "[" + inner + body + outer + "]" if body else "[]"
+        for body in text[2:-2].split("]," + inner + "[")
+    ]
+
+
 def write_json(obj, path: str) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline, byte for byte (module docstring)."""
+    try:
+        if c_make_encoder is None:
+            raise _NotPlain
+        text = _texts([obj], 0)[0]
+    except (_NotPlain, RecursionError):  # RecursionError: a reference cycle
+        text = json.dumps(obj, indent=2)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2))
+        fh.write(text)
         fh.write("\n")

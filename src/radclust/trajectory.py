@@ -12,6 +12,7 @@ the trajectory rules; :func:`detect_events` checks through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,14 +61,16 @@ class ClusterEvent:
 def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
     """Check the trajectory rules and align every frame's rows to the first's.
 
-    A trajectory has at least one frame, non-decreasing timestamps and one id
-    set.  Returns, per frame, each row's id's position among the first
+    A trajectory has at least one frame, finite non-decreasing timestamps and
+    one id set.  Returns, per frame, each row's id's position among the first
     frame's ids.  ``ValueError`` names the first frame that breaks a rule.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
-    for prev, frame in zip(frames, frames[1:]):
-        if frame.t < prev.t:
+    for prev, frame in zip([None, *frames], frames):
+        if not math.isfinite(frame.t):  # NaN would pass any order comparison
+            raise ValueError(f"frame t={frame.t}: timestamps must be finite")
+        if prev is not None and frame.t < prev.t:
             raise ValueError(f"frame t={frame.t}: timestamps must be non-decreasing")
     first = frames[0].points.ids
     index = {node_id: k for k, node_id in enumerate(first)}

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written against different primitives than
 the library under test: hop distances come from per-source BFS, integer
-matrix products come straight from numpy, and adjacency patterns are
-spelled out index-by-index.
+matrix products come straight from numpy, adjacency patterns are spelled
+out index-by-index, and CSV files are read one record at a time.
 """
 
+import csv
+import math
 from collections import deque
 
 import numpy as np
@@ -66,3 +68,67 @@ def partition_sets(labels):
     for i, lab in enumerate(labels):
         groups.setdefault(lab, set()).add(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def _parse_float(token, path, line_no, what):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"{path}: line {line_no}: invalid {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: line {line_no}: non-finite {what} {token!r}")
+    return value
+
+
+def _records(fh, path):
+    reader = csv.reader(fh)
+    line_no = 1
+    try:
+        for row in reader:
+            if row:
+                yield line_no, row
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+
+
+def read_csv_by_record(path, lead):
+    """Raw ids and float block of a point or trajectory CSV, one record at a time.
+
+    The record-by-record reader the columnar ``radclust.io._read_csv`` must
+    match: ``lead`` is ``("id",)`` or ``("t", "id")``; each record is checked
+    in full (field count, timestamp, timestamp order, coordinates) before the
+    next, so the first malformed record is the one reported, with the
+    physical line it starts on.
+    """
+    id_col = len(lead) - 1
+    raw_ids = []
+    block = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        records = _records(fh, path)
+        header_no, header = next(records, (None, None))
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        names = [name.strip().lower() for name in header[: len(lead)]]
+        if len(header) <= len(lead) or names != list(lead):
+            raise ValueError(
+                f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
+                f"got {','.join(header)!r}"
+            )
+        for line_no, row in records:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
+            if values and block and values[0] < block[-1][0]:
+                raise ValueError(
+                    f"{path}: line {line_no}: timestamp {values[0]} decreases "
+                    f"(previous was {block[-1][0]})"
+                )
+            values += [_parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]]
+            raw_ids.append(row[id_col].strip())
+            block.append(values)
+    if not raw_ids:
+        raise ValueError(f"{path}: no data rows")
+    return raw_ids, np.array(block)

@@ -3,22 +3,26 @@
 Each rewritten stage is held bit-equal to a straightforward reference: the
 unchunked broadcast distance expression over all pairs for the grid
 adjacency, ``m`` plain squarings for the power, the paper's mask scan of
-the power plus the BFS oracle for the component labels, and the
-intersection of every cluster pair for the split/merge events.
+the power plus the BFS oracle for the component labels, the
+intersection of every cluster pair for the split/merge events,
+``json.dumps(indent=2)`` for the JSON writer, and a record-by-record reader
+for the columnar CSV reader.
 """
 
 import fractions
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radclust.clustering as clustering
 import radclust.geometry as geometry
 import radclust.matpower as matpower
 from radclust.clustering import cluster_labels
+from radclust.io import _read_csv, write_json
 from radclust.geometry import BinaryMatrix, ClusteringConfig, PointSet, build_adjacency
 from radclust.matpower import (
     bool_multiply,
@@ -29,7 +33,7 @@ from radclust.matpower import (
 )
 from radclust.trajectory import ClusterEvent, Frame, cluster_frames, detect_events
 
-from helpers import chain_bits, random_adjacency
+from helpers import chain_bits, random_adjacency, read_csv_by_record
 
 
 def unchunked_adjacency(coords, radius):
@@ -565,3 +569,167 @@ def trajectories(draw):
 def test_events_match_brute_force_property(frames):
     results = cluster_frames(frames, ClusteringConfig(radius=1.5))
     assert detect_events(results, frames) == brute_force_events(results, frames)
+
+
+# ---------------------------------------------------------------------------
+# JSON writer against json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+# Strings that could fool a writer which splits or re-indents encoded text.
+_TRICKY_TEXT = ["", "\n", '"', "},\n  {", "],\n    [", ",\n", ": ", "\\", "é☃\U0001f600", "\ud800"]
+
+_json_strings = st.one_of(st.sampled_from(_TRICKY_TEXT), st.text(max_size=8))
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**80) | st.integers(max_value=-(2**64)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    _json_strings,
+)
+# Keys json.dumps converts: str, int, float, bool and None.
+_json_keys = st.one_of(_json_strings, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _json_values(depth):
+    """JSON values nested at most ``depth`` deep, lists of records included."""
+    if depth == 0:
+        return _json_scalars
+    inner = _json_values(depth - 1)
+    records = st.lists(_json_keys, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({key: inner for key in keys}), max_size=4)
+    )
+    # Keys that are equal as Python values but print apart ("1", "1.0", "true").
+    look_alike_keys = st.sampled_from([1, 1.0, True, "1", "true"])
+    return st.one_of(
+        _json_scalars,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=4),
+        records,
+        st.lists(st.dictionaries(look_alike_keys, inner, min_size=1, max_size=2), max_size=4),
+        # Empty containers beside full ones, where brackets are easy to get wrong.
+        st.lists(st.one_of(st.just([]), st.just({}), inner), min_size=2, max_size=4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=st.integers(0, 5).flatmap(_json_values))
+@example(obj=[[], [[1]]])
+@example(obj=[{}, {"a": [{}]}, {"a": []}])
+@example(obj={"a": [[], [{"b": 1}, {}]], "c": [{"b": 2}, {"b": [3]}]})
+def test_write_json_matches_json_dumps_indent_2_property(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    write_json(obj, str(path))
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+class _Label(str):
+    pass
+
+
+_cycle = {"a": []}
+_cycle["a"].append(_cycle)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"x": np.float64(0.1), "ids": [_Label("a"), 1]},  # subclasses of float and str
+        [[1, 2], [3.5], ("a", None)],
+    ],
+    ids=["subclasses", "mixed-sequences"],
+)
+def test_write_json_matches_json_dumps_off_the_plain_types(tmp_path, obj):
+    path = tmp_path / "out.json"
+    write_json(obj, str(path))
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (_cycle, ValueError),
+        ({"a": [np.int64(1)]}, TypeError),
+        ({"a": {(1, 2): 0}}, TypeError),
+    ],
+    ids=["cycle", "numpy-int", "tuple-key"],
+)
+def test_write_json_raises_what_json_dumps_raises(tmp_path, obj, error):
+    with pytest.raises(error) as expected:
+        json.dumps(obj, indent=2)
+    path = tmp_path / "out.json"
+    with pytest.raises(error) as got:
+        write_json(obj, str(path))
+    assert str(got.value) == str(expected.value)
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# Columnar CSV reader against the record-by-record reader
+# ---------------------------------------------------------------------------
+
+_GOOD_FLOATS = ["0", "1.5", "-2.25", "1e-3", " 3.0", "7", "0.1", "-0.0", "1_0"]
+_BAD_FLOATS = ["nan", "inf", "-Infinity", "oops", "", "1e400", "0x1"]
+_IDS = ["0", "1", "-3", "07", "a", "b c", " d ", '"a,b"', '"x\ny"', '"p\r\nq"', '"q""q"', "1"]
+
+
+@st.composite
+def _csv_texts(draw, timestamped):
+    """A point or trajectory CSV file: mostly good rows, some faults."""
+    lead = ["t", "id"] if timestamped else ["id"]
+    d = draw(st.integers(1, 3))
+    header = draw(st.sampled_from([lead] * 12 + [[name.upper() for name in lead], [" " + lead[0]] + lead[1:], ["x"] + lead[1:]]))
+    header = header + ["x", "y", "z"][: d if draw(st.integers(0, 9)) else 0]
+    n = draw(st.integers(0, 8))
+    stamps = sorted(draw(st.lists(st.sampled_from(["0", "1", "2.5", "10"]), min_size=n, max_size=n)), key=float)
+    lines = [",".join(header)]
+    for k in range(n):
+        fault = draw(st.sampled_from(["none"] * 12 + ["short", "long", "bad", "bad", "decrease", "decrease", "blank"]))
+        fields = [draw(st.sampled_from(_IDS))] + [draw(st.sampled_from(_GOOD_FLOATS)) for _ in range(d)]
+        if timestamped:
+            fields.insert(0, "-1" if fault == "decrease" and k else stamps[k])
+        if fault == "short":
+            fields.pop()
+        elif fault == "long":
+            fields.append("0")
+        elif fault == "bad":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_BAD_FLOATS))
+        elif fault == "blank":
+            lines.append("")
+        lines.append(",".join(fields))
+    if draw(st.booleans()):
+        lines.append("")  # a final line end
+    ends = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    text = lines[0]
+    for line in lines[1:]:
+        text += (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends) + line
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode("utf-8")
+
+
+def _read_or_error(read, path, lead):
+    try:
+        return read(path, lead)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(timestamped=st.booleans(), data=st.data())
+def test_columnar_csv_reader_matches_record_by_record_reader_property(
+    tmp_path_factory, timestamped, data
+):
+    lead = ("t", "id") if timestamped else ("id",)
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    path.write_bytes(data.draw(_csv_texts(timestamped)))
+    got = _read_or_error(_read_csv, str(path), lead)
+    want = _read_or_error(read_csv_by_record, str(path), lead)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        ids, block = got
+        assert ids == want[0]
+        assert block.dtype == want[1].dtype and block.shape == want[1].shape
+        assert block.flags.c_contiguous and block.tobytes() == want[1].tobytes()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,16 @@ def test_points_csv_matches_csv_writer_for_ids_without_carriage_returns(
     # csv.writer with an LF terminator is the reference wherever it is right.
     coords = np.arange(2.0 * len(ids)).reshape(-1, 2) / 3
     path = tmp_path_factory.getbasetemp() / "writer_reference.csv"
+    path.unlink(missing_ok=True)
+    # The reader strips ids and turns an all-canonical-integer column into
+    # ints, so such ids would not read back: the writer refuses them.
+    if any(i != i.strip() for i in ids) or all(
+        re.fullmatch(r"-?[1-9][0-9]*|0", i) for i in ids
+    ):
+        with pytest.raises(ValueError, match="would read back as"):
+            write_points_csv(PointSet(coords, ids), str(path))
+        assert not path.exists()
+        return
     write_points_csv(PointSet(coords, ids), str(path))
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
@@ -106,6 +117,29 @@ def test_points_csv_matches_csv_writer_for_ids_without_carriage_returns(
         writer.writerow([node_id, *(repr(float(v)) for v in row)])
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.read() == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([" b"], r"id ' b' would read back as 'b'"),
+        ([1, "x"], r"id 1 would read back as '1'"),
+        ([" a", "a"], r"id ' a' would read back as 'a'"),
+        ([1, "1"], r"id '1' would read back as 1"),
+    ],
+    ids=["stripped", "int-beside-string", "duplicate-after-strip", "duplicate-as-text"],
+)
+def test_csv_writers_refuse_ids_that_would_not_read_back(tmp_path, ids, message):
+    coords = [[float(k), 0.0] for k in range(len(ids))]
+    points_path = tmp_path / "pts.csv"
+    with pytest.raises(ValueError, match=message):
+        write_points_csv(PointSet(coords, ids), str(points_path))
+    assert not points_path.exists()
+    frames = [Frame(t=t, points=PointSet(coords, ids)) for t in (0.0, 1.0)]
+    traj_path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=message):
+        write_trajectory_csv(frames, str(traj_path))
+    assert not traj_path.exists()
 
 
 def test_points_csv_int_ids_stay_ints(tmp_path):

@@ -52,6 +52,27 @@ def test_validate_rejects_decreasing_timestamps():
         validate_frames(frames)
 
 
+@pytest.mark.parametrize("bad_t", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_validate_rejects_a_non_finite_timestamp(bad_t, at):
+    # Every order comparison with NaN is false, so 1.0, nan, 0.0 would pass.
+    ts = [1.0, 2.0, 3.0]
+    ts[at] = bad_t
+    frames = [_frame(t, [[0.0, 0.0]]) for t in ts]
+    with pytest.raises(ValueError, match=rf"t={bad_t}: timestamps must be finite"):
+        validate_frames(frames)
+
+
+def test_detect_events_rejects_a_nan_timestamp_between_decreasing_ones():
+    # Together, apart, together: at t = 1.0, nan, 0.0 this read as a split at
+    # t = nan and a merge at t = 0.0.
+    frames = _pair_frames([1.0, float("nan"), 0.0], lambda t: 5.0 if t != t else 1.0)
+    cfg = ClusteringConfig(radius=2.0)
+    results = cluster_frames(frames, cfg)
+    with pytest.raises(ValueError, match=r"t=nan: timestamps must be finite"):
+        detect_events(results, frames)
+
+
 def test_validate_rejects_changing_id_sets():
     frames = [
         _frame(0, [[0.0, 0.0], [1.0, 0.0]], ids=[0, 1]),
