@@ -23,11 +23,16 @@ count at least halves.  Starting from n one-node stars, at most
 ``2 floor(log2 n) + 1`` rounds in all.  Each round reads the ``n x n``
 matrix once, as one masked row minimum over a broadcast view of the roots,
 so the step costs ``O(n**2 log n)`` time in the worst case and holds no
-temporary larger than a few length-n vectors.
+temporary larger than a few length-n vectors.  The view is made once:
+hooking and pointer jumping write the roots in place, so it always reads
+the current ones.
 
 Label numbers are dense, starting at 1, in order of each cluster's
-lowest-index node.  The paper's route to the same partition, a matrix power
-read by a mask scan, is the reference in ``matpower``.
+lowest-index node.  A root is its component's lowest index, so root ``r``'s
+label is the number of roots at or below ``r``: one cumulative sum over the
+nodes that are their own roots, with no sort.  The paper's route to the
+same partition, a matrix power read by a mask scan, is the reference in
+``matpower``.
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ class LabelVector:
     """Per-node cluster labels: entry i is the 1-based label of node i.
 
     Labels of a finished run form the contiguous range 1..C; 0 exists only as
-    the transient "unassigned" state inside the algorithms.
+    the transient "unassigned" state inside the algorithms.  The check costs
+    ``O(n + C)`` with no sort: the least label is 1, the largest is at most
+    n (as C must be), and a count per label finds none of 1..C missing.
     """
 
     labels: np.ndarray
@@ -77,10 +84,8 @@ class LabelVector:
         arr = np.array(self.labels, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("labels must be a non-empty 1-d sequence")
-        top = int(arr.max(initial=0))
-        if arr.min(initial=1) < 1 or not np.array_equal(
-            np.unique(arr), np.arange(1, top + 1)
-        ):
+        # The bound on the largest label comes first: it caps the bincount.
+        if arr.min() < 1 or arr.max() > arr.size or not np.bincount(arr)[1:].all():
             raise ValueError("labels must cover the contiguous range 1..C")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
@@ -129,22 +134,22 @@ def _component_roots(bits: np.ndarray) -> tuple[np.ndarray, int]:
     n = bits.shape[0]
     # Node indices and n itself fit the narrowest unsigned dtype.
     roots = np.arange(n, dtype=np.min_scalar_type(n))
+    # Every row of the view reads ``roots``, which is only updated in place.
+    view = np.broadcast_to(roots, bits.shape)
     rounds = 0
     while True:
         rounds += 1
         # The lowest root among each node's neighbours.
-        low = np.minimum.reduce(
-            np.broadcast_to(roots, bits.shape), axis=1, where=bits, initial=n
-        )
+        low = np.minimum.reduce(view, axis=1, where=bits, initial=n)
         hooks = low < roots
         if not hooks.any():
             return roots, rounds
         np.minimum.at(roots, roots[hooks], low[hooks])
         while True:
             jumped = roots[roots]
-            if np.array_equal(jumped, roots):
+            if (jumped == roots).all():
                 break
-            roots = jumped
+            roots[:] = jumped
 
 
 def cluster_labels(g: BinaryMatrix) -> LabelVector:
@@ -159,15 +164,16 @@ def cluster_labels(g: BinaryMatrix) -> LabelVector:
     if not bits.any(axis=1).all():
         raise ValueError("matrix has an all-zero row")
     roots, _ = _component_roots(bits)
-    _, labels = np.unique(roots, return_inverse=True)
-    return LabelVector(labels + 1)
+    # Roots are lowest indices, so root r's label is the number of roots <= r.
+    return LabelVector((roots == np.arange(roots.size)).cumsum()[roots])
 
 
 def build_cluster_table(lv: LabelVector) -> ClusterTable:
     """Count nodes per label and rank clusters by descending size."""
-    counts = np.bincount(lv.labels, minlength=lv.n_clusters + 1)[1:]
-    frequencies = {c + 1: int(f) for c, f in enumerate(counts)}
-    ranking = tuple(sorted(frequencies, key=lambda c: (-frequencies[c], c)))
+    counts = np.bincount(lv.labels)[1:]
+    labels = np.arange(1, counts.size + 1)
+    frequencies = dict(zip(labels.tolist(), counts.tolist()))
+    ranking = tuple((np.lexsort((labels, -counts)) + 1).tolist())
     return ClusterTable(frequencies=frequencies, ranking=ranking)
 
 

@@ -57,12 +57,15 @@ So the margin ``2**-40`` need only cover fact 1; the rounding of
 in magnitude, past any integer type, so each axis's distinct floors are
 numbered in order, and two cells are neighbours on that axis when their
 floors differ by exactly 1.  That float test is exact: the difference of two
-integer-valued floats is exact or far above 1.  Numbers skip one value
-between floors that are not neighbours, so neighbours are one apart, and the
-numbers of all grid axes form one mixed-radix int64 cell key below
-``(2 * N + 1)**3``.  That fits for ``N < 2**20``; a larger ``N`` needs 1 TiB
-for the adjacency matrix, which the memory guard refuses first on smaller
-machines.
+integer-valued floats is exact or far above 1.  One stable sort of the
+``(N, m)`` floor block orders every grid axis at once; along each axis the
+number starts at 1 and steps by 0 between equal sorted floors, by 1 between
+neighbours and by 2 between floors further apart, so the running sum of the
+steps numbers the cells.  Numbers thus skip one value between floors that
+are not neighbours, so neighbours are one apart, and the numbers of all
+grid axes form one mixed-radix int64 cell key below ``(2 * N + 1)**3``.
+That fits for ``N < 2**20``; a larger ``N`` needs 1 TiB for the adjacency
+matrix, which the memory guard refuses first on smaller machines.
 
 Neighbouring cell pairs come from one ``searchsorted`` per offset on the
 sorted cell keys.  Each cell pair contributes every point pair of its two
@@ -258,6 +261,36 @@ class BinaryMatrix:
         return f"BinaryMatrix(n={self.n})"
 
 
+def _cell_keys(coords: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-radix int64 cell key of each row, and the stride of each axis.
+
+    Along each axis the distinct floors ``floor(x / side)`` are numbered in
+    order from 1, skipping one number between floors that are not
+    neighbours (module docstring); the last axis varies fastest in the key.
+    Its temporaries end with the call.
+    """
+    n, m = coords.shape
+    floors = np.floor(coords / side)
+    by_floor = floors.argsort(axis=0, kind="stable")
+    axes = np.arange(m)
+    ranked = floors[by_floor, axes]
+    # Steps of 0 (equal floors), 1 (neighbours) or 2 (further apart): a
+    # neighbouring cell is then one number away, and a step off either end
+    # of a row of cells meets no cell.
+    gap = ranked[1:] - ranked[:-1]
+    step = np.empty((n, m), dtype=np.int64)
+    step[0] = 1
+    np.add(gap != 0.0, gap > 1.0, out=step[1:], dtype=np.int64)
+    slots = step.cumsum(axis=0)
+    slot = np.empty_like(slots)
+    slot[by_floor, axes] = slots
+    # Axis k holds numbers 0..size-1, size = its last number + 2.
+    stride = np.ones(m, dtype=np.int64)
+    for axis in range(m - 1, 0, -1):
+        stride[axis - 1] = stride[axis] * (slots[-1, axis] + 2)
+    return slot @ stride, stride
+
+
 class _CellPairs:
     """Candidate pairs of a uniform grid of cell side ``side``.
 
@@ -271,43 +304,37 @@ class _CellPairs:
     def __init__(self, coords: np.ndarray, side: float) -> None:
         n = coords.shape[0]
         m = min(coords.shape[1], 3)
-        key = np.zeros(n, dtype=np.int64)
-        stride = np.zeros(m, dtype=np.int64)
-        for axis, x in enumerate(coords[:, :m].T):
-            floors, rank = np.unique(np.floor(x / side), return_inverse=True)
-            # Number the distinct floors from 1, skipping one number between
-            # floors that are not neighbours: neighbouring cells are then one
-            # apart, and a step off either end of a row of cells meets no cell.
-            step = np.diff(floors, prepend=floors[0]) == 1.0
-            slot = np.cumsum(np.where(step, 1, 2)) - 1
-            size = int(slot[-1]) + 2
-            key = key * size + slot[rank]
-            stride = stride * size
-            stride[axis] = 1
-        order = np.argsort(key, kind="stable")
+        key, stride = _cell_keys(coords[:, :m], side)
+        order = key.argsort(kind="stable")
         sorted_key = key[order]
-        start = np.flatnonzero(np.diff(sorted_key, prepend=-1))
-        count = np.diff(start, append=n)
+        # Cell c holds sorted rows bounds[c]:bounds[c + 1].
+        edge = np.empty(n + 1, dtype=bool)
+        edge[0] = edge[n] = True
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=edge[1:n])
+        bounds = edge.nonzero()[0]
+        start, count = bounds[:-1], bounds[1:] - bounds[:-1]
         cells = sorted_key[start]
         # Slots stay within 0..size-1 under any offset, so an offset adds to
         # the key without carry, and a target key names one cell or none.
         target = (cells + (_HALF_OFFSETS[m] @ stride)[:, None]).ravel()
-        b = np.searchsorted(cells, target).clip(max=cells.size - 1)
-        hit = np.flatnonzero(cells[b] == target)
+        b = cells.searchsorted(target)
+        np.minimum(b, cells.size - 1, out=b)
+        hit = (cells[b] == target).nonzero()[0]
         a, b = hit % cells.size, b[hit]
         # Cell pair p owns candidates begin[p]:end[p] of the whole sequence,
         # a count[a] x count[b] block read row by row.
         self._order = order
         self._first_a, self._first_b = start[a], start[b]
         self._width = count[b]
-        self._end = np.cumsum(count[a] * self._width)
-        self._begin = self._end - count[a] * self._width
+        block = count[a] * self._width
+        self._end = block.cumsum()
+        self._begin = self._end - block
         self.total = int(self._end[-1])
 
     def batch(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays ``(i, j)`` of candidates ``lo`` to ``hi`` (exclusive)."""
         t = np.arange(lo, min(hi, self.total), dtype=np.int64)
-        p = np.searchsorted(self._end, t, side="right")
+        p = self._end.searchsorted(t, side="right")
         row, col = np.divmod(t - self._begin[p], self._width[p])
         i = self._order[self._first_a[p] + row]
         return i, self._order[self._first_b[p] + col]

@@ -96,6 +96,8 @@ def _records(fh, path: str):
 
     A record the ``csv`` module refuses (a field over its size limit, say)
     raises ``ValueError`` naming ``path`` and the line the record starts on.
+    Bytes that are not UTF-8 raise it naming the line that holds the first
+    of them, whichever record is being read.
     """
     reader = csv.reader(fh)
     line_no = 1
@@ -106,6 +108,29 @@ def _records(fh, path: str):
             line_no = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(_not_utf8(path)) from None
+
+
+def _not_utf8(path: str) -> str:
+    """The error of a file whose bytes are not UTF-8, with its physical line.
+
+    The text decoder reads ahead a chunk at a time, and its error gives an
+    offset into that chunk, so the line comes from decoding the whole file.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")  # a byte-order mark decodes, so offsets are the file's
+    except UnicodeDecodeError as exc:
+        # Lines end at "\r\n", "\r" or "\n", as for the csv reader.
+        head = raw[: exc.start]
+        line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return (
+            f"{path}: line {line_no}: can't decode byte 0x{raw[exc.start]:02x} "
+            f"as UTF-8: {exc.reason}"
+        )
+    return f"{path}: not UTF-8"  # the file changed since it was read
 
 
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:

@@ -124,7 +124,14 @@ def detect_events(
         aligned[f, pos] = labels
     base = int(aligned.max()) + 1
     pair = np.arange(len(frames) - 1)[:, None]
-    triples = np.unique((pair * base + aligned[:-1]) * base + aligned[1:])
+    # Sorted, then deduplicated by neighbour: a plain np.unique would import
+    # numpy.ma (numpy 2.x), which no run otherwise needs.
+    triples = ((pair * base + aligned[:-1]) * base + aligned[1:]).ravel()
+    triples.sort()
+    distinct = np.empty(triples.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(triples[1:], triples[:-1], out=distinct[1:])
+    triples = triples[distinct]
     pair_parent, child = np.divmod(triples, base)
     found = []
     for kind, group, partner in (

@@ -62,6 +62,37 @@ def pairwise_adjacency(coords, radius):
     return bits
 
 
+def grid_slots(coords, side):
+    """Cell numbers of the grid over the first three axes, one axis at a time.
+
+    Each axis's distinct floors ``floor(x / side)`` are numbered in order
+    from 1, skipping one number between floors that are not exactly 1.0
+    apart, so two points are in neighbouring cells on an axis exactly when
+    their numbers differ by at most 1.
+    """
+    coords = np.asarray(coords, dtype=float)
+    m = min(coords.shape[1], 3)
+    slots = np.empty((coords.shape[0], m), dtype=np.int64)
+    for axis in range(m):
+        floors, rank = np.unique(np.floor(coords[:, axis] / side), return_inverse=True)
+        numbers = [1]
+        for lo, hi in zip(floors[:-1], floors[1:]):
+            numbers.append(numbers[-1] + (1 if hi - lo == 1.0 else 2))
+        slots[:, axis] = np.array(numbers)[rank]
+    return slots
+
+
+def grid_candidate_counts(coords, side):
+    """How often the grid candidates hold each pair, counting both orders.
+
+    Entry (i, j) is 2 when points i and j share a cell (so every diagonal
+    entry is 2), 1 when their cells are distinct neighbours and 0 otherwise.
+    """
+    slots = grid_slots(coords, side)
+    gap = np.abs(slots[:, None, :] - slots[None, :, :]).max(axis=-1)
+    return np.where(gap == 0, 2, np.where(gap == 1, 1, 0))
+
+
 def partition_sets(labels):
     """Turn a label sequence into a frozenset-of-frozensets partition."""
     groups = {}

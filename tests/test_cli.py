@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -8,8 +9,9 @@ import pytest
 import radclust.geometry as geometry
 import radclust.scenarios as scenarios
 from radclust.cli import main
+from radclust.geometry import PointSet
 from radclust.io import write_trajectory_csv
-from radclust.trajectory import synthetic_motorcade
+from radclust.trajectory import Frame, synthetic_motorcade
 
 
 def _read_json(path):
@@ -791,3 +793,56 @@ def test_repeat_runs_are_byte_identical(tmp_path, motorcade_csv):
             ]
         }
     assert outputs["first"] == outputs["second"]
+
+
+# ---------------------------------------------------------------------------
+# Byte-identity goldens
+# ---------------------------------------------------------------------------
+
+
+def _integer_walkers(n_frames=40, n=30, side=1000):
+    """Random walkers in a square, drawn by a 64-bit LCG on integers.
+
+    Positions are integers in ``0..side`` that step by up to 30 per frame
+    and reflect at the walls; coordinates are those integers over ``side``,
+    one correctly rounded division each, so the input is the same on every
+    platform and numpy version.
+    """
+    state = 2016
+
+    def draw(m):
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        return (state >> 33) % m
+
+    pos = [[draw(side + 1), draw(side + 1)] for _ in range(n)]
+    frames = []
+    for t in range(n_frames):
+        for p in pos:
+            for k in (0, 1):
+                v = p[k] + draw(61) - 30
+                p[k] = -v if v < 0 else 2 * side - v if v > side else v
+        coords = [[x / side, y / side] for x, y in pos]
+        frames.append(Frame(float(t), PointSet(coords)))
+    return frames
+
+
+# SHA-256 of frames.json and events.json for ``_integer_walkers()`` at r = 0.15.
+GOLDEN_DIGESTS = [
+    "550f776dbb4ad7b252df3ceaac64a6cd0685789d551625891a04f235193cfe50",
+    "18bdd75fd137aa021ce0d850b1cf4531773ec673b5e3f1f190287af6e14b3d96",
+]
+GOLDEN_EVENT_COUNT = 75
+
+
+def test_trajectory_outputs_match_their_golden_hashes(tmp_path):
+    # Any change to clustering, event detection or the writers that moves
+    # one byte of frames.json or events.json fails here.
+    inp = str(tmp_path / "walkers.csv")
+    write_trajectory_csv(_integer_walkers(), inp)
+    out, events = str(tmp_path / "frames.json"), str(tmp_path / "events.json")
+    argv = ["trajectory", "--input", inp, "--radius", "0.15", "--out", out]
+    assert main([*argv, "--events", events]) == 0
+    assert len(_read_json(events)) == GOLDEN_EVENT_COUNT
+    digests = [hashlib.sha256(_read_bytes(p)).hexdigest() for p in (out, events)]
+    assert digests == GOLDEN_DIGESTS

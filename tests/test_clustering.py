@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from radclust.matpower import (
 )
 from radclust.scenarios import blob_points, chain_points, ring_points
 
-from helpers import chain_bits, partition_sets, random_adjacency
+from helpers import bfs_hop_distances, chain_bits, partition_sets, random_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,46 @@ def test_label_vector_requires_contiguous_positive_labels():
         LabelVector(np.array([2, 3]))  # must start at 1
     lv = LabelVector(np.array([2, 1, 2]))
     assert lv.n_clusters == 2
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([1, 3, 3], "contiguous range 1..C"),  # gap within n
+        ([1, 0, 1], "contiguous range 1..C"),
+        ([1, -2], "contiguous range 1..C"),
+        ([10**12], "contiguous range 1..C"),  # refused before any allocation
+        ([2**62, 1], "contiguous range 1..C"),
+        ([[1, 1], [1, 1]], "non-empty 1-d sequence"),
+        ([], "non-empty 1-d sequence"),
+    ],
+)
+def test_label_vector_refusals_keep_their_messages(labels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LabelVector(np.array(labels, dtype=np.int64))
+
+
+def test_cluster_labels_number_components_by_lowest_index():
+    # Roots (each node's lowest reachable index) numbered densely from 1 in
+    # increasing order: what ``np.unique(roots, return_inverse=True)`` gives.
+    rng = np.random.default_rng(13)
+    for n, p in [(1, 0.0), (2, 0.0), (9, 0.1), (30, 0.03), (30, 0.08), (64, 0.02)]:
+        bits = random_adjacency(rng, n, p)
+        roots = (bfs_hop_distances(bits) <= n).argmax(axis=1)
+        _, inverse = np.unique(roots, return_inverse=True)
+        assert cluster_labels(BinaryMatrix(bits)).labels.tolist() == (inverse + 1).tolist()
+
+
+def test_cluster_table_matches_a_sorted_count():
+    rng = np.random.default_rng(5)
+    for n, c in [(1, 1), (6, 3), (40, 7), (200, 60)]:
+        labels = np.concatenate([np.arange(1, c + 1), rng.integers(1, c + 1, n - c)])
+        table = build_cluster_table(LabelVector(rng.permutation(labels)))
+        counts = {label: int((labels == label).sum()) for label in range(1, c + 1)}
+        assert table.frequencies == counts
+        assert table.ranking == tuple(sorted(counts, key=lambda k: (-counts[k], k)))
+        assert all(type(k) is int and type(v) is int for k, v in table.frequencies.items())
+        assert all(type(k) is int for k in table.ranking)
 
 
 def test_cluster_table_sizes_ranking_and_colors():

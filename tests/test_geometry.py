@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radclust.geometry as geometry
 from radclust.clustering import cluster_pointset
@@ -14,7 +16,7 @@ from radclust.geometry import (
     build_adjacency,
 )
 
-from helpers import pairwise_adjacency
+from helpers import grid_candidate_counts, pairwise_adjacency
 
 
 def test_point_rejects_bad_coords():
@@ -281,3 +283,40 @@ def test_memory_limit_skips_an_unreadable_limit(monkeypatch, tmp_path):
     # A directory in place of the file cannot be read as one.
     (tmp_path / "memory.max").mkdir()
     assert _memory_with_cgroup_files(monkeypatch, tmp_path, None, "4096\n") == 4096
+
+
+@st.composite
+def _grid_inputs(draw):
+    """Coordinates and a cell side: floors equal, 1 apart and far apart.
+
+    Rows come from a small pool, so duplicate points are common; values
+    include exact cell boundaries, floors near 2**53 (where floats step by
+    2) and magnitudes near 2**500 over tiny sides (floors near 2**1000).
+    """
+    d = draw(st.integers(1, 5))
+    side = draw(st.sampled_from([2.0**-500, 1e-3, 0.7, 1.0, 3.0, 2.0**400]))
+    value = st.one_of(
+        st.integers(-8, 8).map(lambda k: k * side / 2),
+        st.floats(-4.0, 4.0).map(lambda u: u * side),
+        st.integers(-3, 3).map(lambda k: (2.0**53 + k) * side),
+        st.sampled_from([0.0, SCALE_MIN, -SCALE_MIN, SCALE_MAX, -SCALE_MAX, SCALE_MAX * (1 - 2**-53)]),
+    )
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return np.array(rows), side
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_inputs())
+def test_cell_pairs_match_the_reference_grid_numbering(case):
+    # Bit-equality tests cannot see a numbering that stops skipping between
+    # floors far apart: it only adds candidates.  The candidate multiset can.
+    coords, side = case
+    n = coords.shape[0]
+    pairs = geometry._CellPairs(coords, side)
+    i, j = pairs.batch(0, pairs.total)
+    seen = np.zeros((n, n), dtype=np.int64)
+    np.add.at(seen, (i, j), 1)
+    want = grid_candidate_counts(coords, side)
+    assert pairs.total == want.sum() // 2
+    assert np.array_equal(seen + seen.T, want)

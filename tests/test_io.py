@@ -222,6 +222,22 @@ def test_points_csv_field_over_the_csv_size_limit_names_the_line(tmp_path):
         read_points_csv(str(path))
 
 
+def test_points_csv_bytes_that_are_not_utf8_name_the_line(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"id,x,y\n0,0,0\n\xff\xfe,1,1\n")
+    with pytest.raises(ValueError, match=r"pts\.csv: line 3: can't decode byte 0xff as UTF-8: invalid start byte$"):
+        read_points_csv(str(path))
+
+
+def test_points_csv_bytes_that_are_not_utf8_name_the_line_past_the_first_chunk(tmp_path):
+    # The text decoder reads ahead by chunks; the line is the file's, not the chunk's.
+    path = tmp_path / "pts.csv"
+    rows = b"".join(b"%d,0.5,0.25\n" % k for k in range(5000))
+    path.write_bytes(b"id,x,y\n" + rows + b"x\xe9,1,1\n")
+    with pytest.raises(ValueError, match=r"pts\.csv: line 5002: can't decode byte 0xe9 as UTF-8: invalid continuation byte$"):
+        read_points_csv(str(path))
+
+
 def test_points_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,inf,0.0\n")
@@ -334,6 +350,14 @@ def test_trajectory_csv_accepts_utf8_bom(tmp_path):
     frames = read_trajectory_csv(str(path))
     assert [f.t for f in frames] == [0.0, 1.0]
     assert frames[1].points.ids == (0,)
+
+
+def test_trajectory_csv_bytes_that_are_not_utf8_name_the_line(tmp_path):
+    # Lines end at \r\n, \r or \n; a byte-order mark is not a line.
+    path = tmp_path / "traj.csv"
+    path.write_bytes(b"\xef\xbb\xbft,id,x,y\r\n0,0,0,0\r\n0,1,1,1\r1,0,0,\xc3\n")
+    with pytest.raises(ValueError, match=r"traj\.csv: line 4: can't decode byte 0xc3 as UTF-8: invalid continuation byte$"):
+        read_trajectory_csv(str(path))
 
 
 def test_trajectory_csv_rejects_decreasing_t(tmp_path):

@@ -10,6 +10,9 @@ import sys
 import pytest
 
 import radclust
+from radclust.io import write_points_csv, write_trajectory_csv
+from radclust.scenarios import blob_points
+from radclust.trajectory import synthetic_motorcade
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(radclust.__path__) if info.name != "__main__"
@@ -58,3 +61,29 @@ def test_library_modules_leave_the_reference_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("command", ["cluster", "trajectory"])
+def test_runs_leave_numpy_ma_unloaded(tmp_path, command):
+    # numpy 2.x loads ``numpy.ma`` on first use, and a plain ``np.unique``
+    # uses it (``np.ma.is_masked``): 11-17 ms that no run needs.  numpy 1.x
+    # loads it with numpy itself, so only a load by the run counts.
+    inp, out = str(tmp_path / "in.csv"), str(tmp_path / "out.json")
+    if command == "cluster":
+        write_points_csv(blob_points(40, 1.0, 0.3, seed=2), inp)
+        argv = ["cluster", "--input", inp, "--radius", "1.5", "--out", out]
+        argv += ["--svg", str(tmp_path / "plot.svg")]
+    else:
+        write_trajectory_csv(synthetic_motorcade(), inp)
+        argv = ["trajectory", "--input", inp, "--radius", "15", "--out", out]
+        argv += ["--events", str(tmp_path / "events.json")]
+    code = (
+        "import sys, numpy; before = 'numpy.ma' in sys.modules; from radclust import cli; "
+        f"status = cli.main({argv!r}); print(status, 'numpy.ma' in sys.modules and not before)"
+    )
+    src = os.path.dirname(os.path.dirname(radclust.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "0 False\n"
