@@ -38,6 +38,7 @@ same partition, a matrix power read by a mask scan, is the reference in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle
 
 import numpy as np
 
@@ -193,12 +194,4 @@ def cluster_color_names(table: ClusterTable) -> dict[int, str]:
 
     Ranks 1-3 are red, green, blue; later ranks cycle the extra palette.
     """
-    colors: dict[int, str] = {}
-    for rank, label in enumerate(table.ranking, start=1):
-        if rank <= len(RANK_COLOR_NAMES):
-            colors[label] = RANK_COLOR_NAMES[rank - 1]
-        else:
-            colors[label] = EXTRA_COLOR_NAMES[
-                (rank - len(RANK_COLOR_NAMES) - 1) % len(EXTRA_COLOR_NAMES)
-            ]
-    return colors
+    return dict(zip(table.ranking, chain(RANK_COLOR_NAMES, cycle(EXTRA_COLOR_NAMES))))

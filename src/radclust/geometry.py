@@ -246,10 +246,6 @@ class BinaryMatrix:
     def n(self) -> int:
         return self.bits.shape[0]
 
-    def to_array(self) -> np.ndarray:
-        """Entries as a fresh int8 array (handy for printing and oracles)."""
-        return self.bits.astype(np.int8)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryMatrix):
             return NotImplemented

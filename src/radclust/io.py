@@ -322,9 +322,10 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
 
     Equirectangular approximation: good over the few kilometers a moving
     group spans; callers needing geodesic accuracy should pre-project.  A
-    longitude more than 180 degrees from the first frame's first point is
-    shifted by -360 or +360 first, so a group straddling the antimeridian
-    stays together; every other longitude is used as is.
+    latitude outside [-90, 90] is a ``ValueError`` naming its frame and
+    point.  A longitude more than 180 degrees from the first frame's first
+    point is shifted by -360 or +360 first, so a group straddling the
+    antimeridian stays together; every other longitude is used as is.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
@@ -346,6 +347,13 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
     projected = []
     for frame in frames:
         lat = frame.points.coords[:, 0]
+        outside = np.flatnonzero(np.abs(lat) > 90.0)
+        if outside.size:
+            i = outside[0]
+            raise ValueError(
+                f"frame t={frame.t}: point {frame.points.ids[i]!r}: latitude {lat[i]}"
+                " is outside [-90, 90]"
+            )
         lon = longitudes(frame.points.coords)
         x = EARTH_RADIUS_M * np.radians(lon - lon0) * cos_lat0
         y = EARTH_RADIUS_M * np.radians(lat - lat0)
@@ -357,13 +365,8 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
 def _cluster_records(table: ClusterTable) -> list[dict]:
     colors = cluster_color_names(table)
     return [
-        {
-            "label": int(label),
-            "size": int(table.frequencies[label]),
-            "rank": rank,
-            "color": colors[label],
-        }
-        for rank, label in enumerate(table.ranking, start=1)
+        {"label": c, "size": table.frequencies[c], "rank": rank, "color": colors[c]}
+        for rank, c in enumerate(table.ranking, start=1)
     ]
 
 

@@ -6,8 +6,10 @@ shared member ids: a cluster at frame t-1 is a parent of a cluster at frame t
 when they share at least one node, so the links are the distinct (frame
 pair, parent, child) triples of the nodes.  A parent with two or more
 children splits; a child with two or more parents merges.  Geometry never
-enters event detection, only membership.  :func:`validate_frames` alone holds
-the trajectory rules; :func:`detect_events` checks through it.
+enters event detection, only membership: links and event members are both
+read from one label matrix, each frame's labels in the first frame's id
+order.  :func:`validate_frames` alone holds the trajectory rules;
+:func:`detect_events` checks through it.
 """
 
 from __future__ import annotations
@@ -105,11 +107,11 @@ def detect_events(
 ) -> list[ClusterEvent]:
     """Find splits and merges between each pair of consecutive frames.
 
-    The triples (module docstring) come from one F x n label matrix in the
-    first frame's id order, which :func:`validate_frames` gives.  Events are
-    ordered by frame, then splits before merges, then by lowest member id.
-    ``ValueError`` names a frame that breaks a trajectory rule or whose label
-    count is not its point count.
+    The links (module docstring) and each event's members come from one
+    F x n label matrix in the first frame's id order, which
+    :func:`validate_frames` gives.  Events are ordered by frame, then splits
+    before merges, then by lowest member id.  ``ValueError`` names a frame
+    that breaks a trajectory rule or whose label count is not its point count.
     """
     if len(results) != len(frames):
         raise ValueError("results and frames must have equal length")
@@ -124,31 +126,24 @@ def detect_events(
         aligned[f, pos] = labels
     base = int(aligned.max()) + 1
     pair = np.arange(len(frames) - 1)[:, None]
-    # Sorted, then deduplicated by neighbour: a plain np.unique would import
-    # numpy.ma (numpy 2.x), which no run otherwise needs.
-    triples = ((pair * base + aligned[:-1]) * base + aligned[1:]).ravel()
-    triples.sort()
-    distinct = np.empty(triples.size, dtype=bool)
-    distinct[:1] = True
-    np.not_equal(triples[1:], triples[:-1], out=distinct[1:])
-    triples = triples[distinct]
-    pair_parent, child = np.divmod(triples, base)
+    ids = frames[0].points.ids
     found = []
     for kind, group, partner in (
-        ("split", pair_parent, child),
-        ("merge", pair_parent // base * base + child, pair_parent % base),
+        ("split", aligned[:-1], aligned[1:]),
+        ("merge", aligned[1:], aligned[:-1]),
     ):
-        order = np.lexsort((partner, group))
-        group, partner = group[order], partner[order]
-        heads, first, count = np.unique(group, return_index=True, return_counts=True)
+        keys = ((pair * base + group) * base + partner).ravel()
+        # The counts only keep np.unique from importing numpy.ma (numpy 2.x).
+        heads, partner = np.divmod(np.unique(keys, return_counts=True)[0], base)
+        heads, first, count = np.unique(heads, return_index=True, return_counts=True)
         keep = count >= 2
         for head, lo, hi in zip(heads[keep], first[keep], (first + count)[keep]):
             f, label = divmod(int(head), base)
             at = f + (kind == "merge")  # members: a split's at t-1, a merge's at t
-            rows = np.flatnonzero(results[at][0].labels == label).tolist()
+            rows = np.flatnonzero(aligned[at] == label).tolist()
             partners = tuple(partner[lo:hi].tolist())
             links = ((label,), partners) if kind == "split" else (partners, (label,))
-            members = tuple(sorted(frames[at].points.ids[i] for i in rows))
+            members = tuple(sorted(ids[i] for i in rows))
             found.append((f, ClusterEvent(frames[f + 1].t, kind, *links, members)))
     found.sort(key=lambda fe: (fe[0], fe[1].kind != "split", fe[1].member_ids[0]))
     return [event for _, event in found]

@@ -692,6 +692,22 @@ def test_trajectory_equirect_keeps_a_pair_across_the_antimeridian_together(tmp_p
     assert _read_json(out)["frames"][0]["labels"] == [1, 1]
 
 
+def test_trajectory_equirect_refuses_latitudes_beyond_the_poles(tmp_path, capsys):
+    # Raw, the pair splits at t=1; as latitudes, 95 and -95 are not on Earth.
+    inp = tmp_path / "geo.csv"
+    inp.write_text("t,id,lat,lon\n0,0,95.0,7.0\n0,1,95.0,7.0\n1,0,95.0,7.0\n1,1,-95.0,7.0\n")
+    out, events = tmp_path / "f.json", tmp_path / "e.json"
+    code = main(
+        [
+            "trajectory", "--input", str(inp), "--radius", "100",
+            "--out", str(out), "--events", str(events), "--project", "equirect",
+        ]
+    )
+    assert code == 1
+    assert "frame t=0.0: point 0: latitude 95.0" in capsys.readouterr().err
+    assert not out.exists() and not events.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

@@ -165,12 +165,18 @@ def test_cluster_table_single_cluster():
 
 
 def test_color_names_cycle_beyond_palette():
-    labels = np.repeat(np.arange(1, 16), 1)
+    # Label c has c nodes, so rank order is label 15 down to label 1.
+    labels = np.repeat(np.arange(1, 16), np.arange(1, 16))
     table = build_cluster_table(LabelVector(labels))
     names = cluster_color_names(table)
-    assert len(names) == 15
-    assert names[table.ranking[0]] == "red"
-    assert len(set(names.values())) > 3  # extra clusters get distinct names
+    assert table.ranking == tuple(range(15, 0, -1))
+    assert [names[c] for c in table.ranking] == [
+        "red", "green", "blue",
+        "orange", "purple", "brown", "deeppink", "teal",
+        "olive", "navy", "maroon", "darkcyan", "goldenrod",
+        "orange", "purple",
+    ]  # fmt: skip
+    assert sorted(names) == list(range(1, 16))
 
 
 # ---------------------------------------------------------------------------

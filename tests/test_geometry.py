@@ -134,7 +134,7 @@ def test_chain_adjacency_is_tridiagonal():
     for i in range(7):
         for j in range(7):
             expected[i, j] = abs(i - j) <= 1
-    assert np.array_equal(adj.to_array(), expected)
+    assert np.array_equal(adj.bits, expected)
 
 
 def test_adjacency_matches_pairwise_oracle():
@@ -144,25 +144,25 @@ def test_adjacency_matches_pairwise_oracle():
         coords = rng.random((n, 2)) * 3.0
         radius = float(rng.uniform(0.1, 1.5))
         ps = PointSet(coords)
-        got = build_adjacency(ps, ClusteringConfig(radius=radius)).to_array()
+        got = build_adjacency(ps, ClusteringConfig(radius=radius)).bits
         assert np.array_equal(got, pairwise_adjacency(coords, radius))
 
 
 def test_single_point_adjacency():
     ps = PointSet([[4.0, -2.0]])
     adj = build_adjacency(ps, ClusteringConfig(radius=0.001))
-    assert np.array_equal(adj.to_array(), [[True]])
+    assert np.array_equal(adj.bits, [[True]])
 
 
 def test_distance_exactly_at_radius_is_not_adjacent():
     # The threshold is strict: d < r, so d == r stays disconnected.
     ps = PointSet([[0.0, 0.0], [1.5, 0.0]])
-    adj = build_adjacency(ps, ClusteringConfig(radius=1.5)).to_array()
+    adj = build_adjacency(ps, ClusteringConfig(radius=1.5)).bits
     assert not adj[0, 1] and not adj[1, 0]
     assert adj[0, 0] and adj[1, 1]
     # 3-4-5 again, at the boundary.
     ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
-    adj = build_adjacency(ps, ClusteringConfig(radius=5.0)).to_array()
+    adj = build_adjacency(ps, ClusteringConfig(radius=5.0)).bits
     assert not adj[0, 1]
 
 
@@ -171,7 +171,7 @@ def test_adjacency_symmetric_with_unit_diagonal():
     for seed in range(10):
         coords = np.random.default_rng(seed).random((25, 3))
         ps = PointSet(coords)
-        bits = build_adjacency(ps, ClusteringConfig(radius=0.4)).to_array()
+        bits = build_adjacency(ps, ClusteringConfig(radius=0.4)).bits
         assert np.array_equal(bits, bits.T)
         assert bits.diagonal().all()
     del rng
@@ -180,8 +180,8 @@ def test_adjacency_symmetric_with_unit_diagonal():
 def test_adjacency_monotonic_in_radius():
     coords = np.random.default_rng(5).random((30, 2))
     ps = PointSet(coords)
-    small = build_adjacency(ps, ClusteringConfig(radius=0.2)).to_array()
-    large = build_adjacency(ps, ClusteringConfig(radius=0.5)).to_array()
+    small = build_adjacency(ps, ClusteringConfig(radius=0.2)).bits
+    large = build_adjacency(ps, ClusteringConfig(radius=0.5)).bits
     assert not (small & ~large).any()
 
 
@@ -202,8 +202,8 @@ def test_adjacency_invariant_under_rigid_motion():
         )
         moved = coords @ rot.T + np.array([5.0, -3.0])
         cfg = ClusteringConfig(radius=radius)
-        before = build_adjacency(PointSet(coords), cfg).to_array()
-        after = build_adjacency(PointSet(moved), cfg).to_array()
+        before = build_adjacency(PointSet(coords), cfg).bits
+        after = build_adjacency(PointSet(moved), cfg).bits
         assert np.array_equal(before, after)
 
 

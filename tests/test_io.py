@@ -432,6 +432,18 @@ def test_equirect_projection_keeps_a_pair_across_the_antimeridian_together():
     assert lv.n_clusters == 1
 
 
+def test_equirect_refuses_a_latitude_outside_the_poles():
+    frames = [
+        Frame(t=0.0, points=PointSet([(89.0, 0.0), (-90.0, 0.0)], ids=["a", "b"])),
+        Frame(t=1.0, points=PointSet([(89.0, 0.0), (-90.5, 0.0)], ids=["a", "b"])),
+    ]
+    with pytest.raises(ValueError, match=r"frame t=1\.0: point 'b': latitude -90\.5"):
+        project_equirect(frames)
+    # Longitudes stay unrestricted: 0-360 data relies on the +-360 shift.
+    (projected,) = project_equirect([Frame(t=0.0, points=PointSet([(90.0, 359.0)]))])
+    assert np.isfinite(projected.points.coords).all()
+
+
 def test_equirect_requires_two_columns():
     frame = Frame(t=0.0, points=PointSet([(1.0, 2.0, 3.0)]))
     with pytest.raises(ValueError, match="2 coordinate columns"):

@@ -37,7 +37,7 @@ def test_binary_matrix_is_read_only():
 
 def test_identity_factory():
     eye = np.eye(2, dtype=bool)
-    assert np.array_equal(BinaryMatrix(eye).to_array(), eye)
+    assert np.array_equal(BinaryMatrix(eye).bits, eye)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_multiply_by_identity_is_noop():
 
 def test_chain_square_matches_integer_oracle():
     a = chain_bits(7)
-    got = bool_multiply(BinaryMatrix(a), BinaryMatrix(a)).to_array()
+    got = bool_multiply(BinaryMatrix(a), BinaryMatrix(a)).bits
     expected = (a.astype(np.int64) @ a.astype(np.int64)) > 0
     assert np.array_equal(got, expected)
     # and the expected support is |i - j| <= 2
@@ -71,7 +71,7 @@ def test_multiply_matches_integer_oracle_random():
         n = int(rng.integers(1, 20))
         a = rng.random((n, n)) < 0.4
         b = rng.random((n, n)) < 0.4
-        got = bool_multiply(BinaryMatrix(a), BinaryMatrix(b)).to_array()
+        got = bool_multiply(BinaryMatrix(a), BinaryMatrix(b)).bits
         expected = (a.astype(np.int64) @ b.astype(np.int64)) > 0
         assert np.array_equal(got, expected)
 
@@ -140,7 +140,7 @@ def test_fast_power_chain_reaches_four_hops():
     a = chain_bits(9)
     g, count = power_fast(BinaryMatrix(a))
     assert count == 2
-    bits = g.to_array()
+    bits = g.bits
     assert bits[0, 4]
     assert not bits[0, 5]
     dist = bfs_hop_distances(a)
@@ -160,21 +160,21 @@ def test_fast_power_block_diagonal_stays_block_diagonal():
     a[:3, :3] = chain_bits(3)
     a[3:, 3:] = chain_bits(4)
     g, _ = power_fast(BinaryMatrix(a))
-    bits = g.to_array()
+    bits = g.bits
     assert not bits[:3, 3:].any()
     assert not bits[3:, :3].any()
     # each diagonal block is the same number of squarings of the block itself
     sub = BinaryMatrix(chain_bits(3))
     for _ in range(2):
         sub = bool_multiply(sub, sub)
-    assert np.array_equal(bits[:3, :3], sub.to_array())
+    assert np.array_equal(bits[:3, :3], sub.bits)
 
 
 def test_naive_power_chain_reaches_three_hops():
     # n = 7 -> k = 3: the 3-fold product reaches exactly 3 hops.
     a = chain_bits(7)
     g = power_naive_oracle(BinaryMatrix(a))
-    bits = g.to_array()
+    bits = g.bits
     assert bits[0, 3]
     assert not bits[0, 4]
     dist = bfs_hop_distances(a)
@@ -193,7 +193,7 @@ def test_fast_power_is_superset_of_naive():
         a = BinaryMatrix(random_adjacency(rng, n, 0.08))
         fast, _ = power_fast(a)
         naive = power_naive_oracle(a)
-        assert not (naive.to_array() & ~fast.to_array()).any()
+        assert not (naive.bits & ~fast.bits).any()
 
 
 def test_semiring_power_equals_binarized_integer_power():
@@ -204,7 +204,7 @@ def test_semiring_power_equals_binarized_integer_power():
         n = int(rng.integers(2, 13))
         bits = rng.random((n, n)) < 0.35
         k = n // 2
-        got = power_naive_oracle(BinaryMatrix(bits)).to_array()
+        got = power_naive_oracle(BinaryMatrix(bits)).bits
         assert np.array_equal(got, binarized_int_power(bits, k))
 
 
@@ -216,7 +216,7 @@ def test_fast_power_encodes_bounded_reachability():
         g, count = power_fast(BinaryMatrix(a))
         reach = 2**count
         dist = bfs_hop_distances(a)
-        assert np.array_equal(g.to_array(), dist <= reach)
+        assert np.array_equal(g.bits, dist <= reach)
 
 
 def test_fast_power_multiplication_count_matches_plan():
