@@ -195,6 +195,8 @@ def _parse_params(items: list[str]) -> dict:
         if not match:
             raise ValueError(f"invalid --param {item!r}: expected KEY=VALUE")
         key, raw = match.group("key"), match.group("value")
+        if key in params:
+            raise ValueError(f"--param {key} is given more than once")
         try:
             value = int(raw) if re.fullmatch(r"[+-]?\d+", raw) else float(raw)
         except ValueError:

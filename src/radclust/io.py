@@ -21,20 +21,23 @@ writers refuse, before opening their file, ids that would not read back
 unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
 
 The reader works by column: one ``csv.reader`` pass, then ``float()`` over
-each column and one vectorised finiteness and timestamp-order check.  Only
-when one of those checks fails does it read the file again record by
-record, to report the first bad record with its physical line, exactly as
-a record-by-record reader would.
+each column and one vectorised finiteness and timestamp-order check.  A file
+that is not UTF-8 is refused for its first undecodable byte before any
+record is checked.  Only when a check on the records fails does the reader
+walk the file again, to word the error of the first bad record with its
+physical line, as a record-by-record reader would.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
 Python, a call per value.  Here the C encoder (``json.encoder.c_make_encoder``)
 writes every scalar, one call for all the lists of scalars at one nesting
 level, with an item separator that carries that level's line break and
-indent; dicts that share a key order are encoded a key at a time.  Python
-handles the nesting, not the items.  A value of any other type (a subclass,
-a numpy scalar) or a reference cycle hands the whole document to
-``json.dumps``.
+indent; dicts that share an order of ``str`` keys are encoded a key at a
+time.  Python handles the nesting, not the items.  Every document radclust
+writes takes that path.  Any other goes whole to ``json.dumps``: one with a
+value of another type (a subclass, a numpy scalar), a key that is not a
+``str``, an empty dict or a reference cycle, or whose values encoded side
+by side mix kinds other than scalars, or are dicts in different key orders.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 import operator
 import re
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -96,8 +99,6 @@ def _records(fh, path: str):
 
     A record the ``csv`` module refuses (a field over its size limit, say)
     raises ``ValueError`` naming ``path`` and the line the record starts on.
-    Bytes that are not UTF-8 raise it naming the line that holds the first
-    of them, whichever record is being read.
     """
     reader = csv.reader(fh)
     line_no = 1
@@ -108,8 +109,6 @@ def _records(fh, path: str):
             line_no = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    except UnicodeDecodeError:
-        raise ValueError(_not_utf8(path)) from None
 
 
 def _not_utf8(path: str) -> str:
@@ -144,9 +143,13 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
-            rows = list(filter(None, csv.reader(fh)))  # the non-blank records
-        except (csv.Error, ValueError):  # ValueError: bytes that are not UTF-8
-            rows = []
+            try:
+                rows = list(filter(None, csv.reader(fh)))  # the non-blank records
+            except csv.Error:
+                fh.read()  # the rest of the file must decode too
+                rows = []
+        except UnicodeDecodeError:
+            raise ValueError(_not_utf8(path)) from None
     header = rows[0] if rows else []
     names = [name.strip().lower() for name in header[: len(lead)]]
     if (
@@ -155,7 +158,7 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
         or names != list(lead)
         or len(set(map(len, rows))) != 1
     ):
-        return _read_records(path, lead)
+        _read_records(path, lead)
     columns = list(zip(*rows))
     del rows, header  # the row lists; the columns keep their strings
     n = len(columns[0]) - 1
@@ -165,24 +168,22 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
         for j, column in enumerate(columns):
             block[:, j] = np.fromiter(map(float, itertools.islice(column, 1, None)), float, n)
     except ValueError:
-        return _read_records(path, lead)
+        _read_records(path, lead)
     del columns
     stamps = block[:, 0]
     if not np.isfinite(block).all() or (len(lead) > 1 and (stamps[1:] < stamps[:-1]).any()):
-        return _read_records(path, lead)
+        _read_records(path, lead)
     return raw_ids, block
 
 
-def _read_records(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
-    """:func:`_read_csv` record by record, which words the error of a bad file.
+def _read_records(path: str, lead: tuple[str, ...]) -> NoReturn:
+    """Raise the error of the first bad record in a file :func:`_read_csv` refused.
 
     Each record is checked in full (field count, timestamp, timestamp order,
     coordinates) before the next, so the first malformed record is the one
-    reported.
+    reported, as a record-by-record reader would report it.
     """
     id_col = len(lead) - 1  # 1 after a timestamp column
-    raw_ids: list[str] = []
-    block: list[list[float]] = []
     # utf-8-sig drops a leading byte-order mark, which would spoil the header.
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = _records(fh, path)
@@ -195,25 +196,22 @@ def _read_records(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarr
                 f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
                 f"got {','.join(header)!r}"
             )
+        previous = -math.inf
         for line_no, row in records:
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
-            if values and block and values[0] < block[-1][0]:
-                raise ValueError(
-                    f"{path}: line {line_no}: timestamp {values[0]} decreases "
-                    f"(previous was {block[-1][0]})"
-                )
-            values += [
-                _parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]
-            ]
-            raw_ids.append(row[id_col].strip())
-            block.append(values)
-    if not raw_ids:
-        raise ValueError(f"{path}: no data rows")
-    return raw_ids, np.array(block)
+            if id_col:
+                t = _parse_float(row[0], path, line_no, "timestamp")
+                if t < previous:
+                    raise ValueError(
+                        f"{path}: line {line_no}: timestamp {t} decreases (previous was {previous})"
+                    )
+                previous = t
+            for token in row[id_col + 1 :]:
+                _parse_float(token, path, line_no, "coordinate")
+    raise ValueError(f"{path}: no data rows")
 
 
 def _coord_names(d: int) -> list[str]:
@@ -326,13 +324,16 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
     point.  A longitude more than 180 degrees from the first frame's first
     point is shifted by -360 or +360 first, so a group straddling the
     antimeridian stays together; every other longitude is used as is.
+    A frame without exactly two coordinates is a ``ValueError`` naming it.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
-    if frames[0].points.dimension != 2:
-        raise ValueError(
-            "equirectangular projection needs exactly 2 coordinate columns (lat, lon)"
-        )
+    for frame in frames:
+        if frame.points.dimension != 2:
+            raise ValueError(
+                f"frame t={frame.t}: equirectangular projection needs exactly 2 coordinate"
+                " columns (lat, lon)"
+            )
     lon_ref = frames[0].points.coords[0, 1]
 
     def longitudes(coords: np.ndarray) -> np.ndarray:
@@ -411,7 +412,6 @@ def events_payload(events: Sequence[ClusterEvent]) -> list[dict]:
 
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_STR_TYPE = frozenset({str})
 
 
 class _NotPlain(Exception):
@@ -444,33 +444,25 @@ def _texts(values: list, level: int) -> list[str]:
     encoded scalar holds a raw line break, so its item separator, between a
     closing and an opening bracket, splits the texts apart.  The items of
     lists that hold containers are encoded as one list and cut back apart.
-    Dicts with one key order are encoded a key at a time, each key's values
-    as one list.  Python recursion walks only the nesting, never the items.
+    Dicts with one order of ``str`` keys are encoded a key at a time, each
+    key's values as one list.  Python recursion walks only the nesting,
+    never the items.  Containers of mixed kinds, dicts whose keys differ in
+    order or type, and ``{}`` raise :class:`_NotPlain`.
     """
     kinds = set(map(type, values))
     if _SCALAR_TYPES.issuperset(kinds):
         return "".join(_flat_encoder(0)(values, 0))[1:-1].split(",\n")
     if len(kinds) > 1:
-        return [_texts([value], level)[0] for value in values]
+        raise _NotPlain
     kind = kinds.pop()
     inner = "\n" + "  " * (level + 1)
     outer = inner[:-2]
     if kind is dict:
-        # Dicts share columns when their keys print alike, as equal str keys
-        # in one order do; 1, 1.0 and True are equal keys that print apart.
-        if len(values) > 1 and (
-            len(set(map(tuple, values))) > 1
-            or not _STR_TYPE.issuperset(map(type, itertools.chain.from_iterable(values)))
-        ):
-            return [_texts([value], level)[0] for value in values]
-        if not values[0]:
-            return ["{}"] * len(values)
-        if not _SCALAR_TYPES.issuperset(map(type, values[0])):
-            raise _NotPlain  # a key json.dumps refuses
+        if len(set(map(tuple, values))) > 1 or set(map(type, values[0])) != {str}:
+            raise _NotPlain  # {} included
         pieces = []
         for key in values[0]:
-            name = encode_basestring_ascii(key if type(key) is str else _texts([key], 0)[0])
-            head = ("," if pieces else "{") + inner + name + ": "
+            head = ("," if pieces else "{") + inner + encode_basestring_ascii(key) + ": "
             column = _texts(list(map(operator.itemgetter(key), values)), level + 1)
             pieces += [itertools.repeat(head), column]
         return list(map("".join, zip(*pieces, itertools.repeat(outer + "}"))))

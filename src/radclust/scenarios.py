@@ -211,8 +211,9 @@ def generate(
 ) -> PointSet:
     """Build the scenario ``kind`` from its builder's keyword ``params``.
 
-    ``seed`` reaches only the stochastic kinds.  The same (kind, params,
-    seed) triple always yields bit-identical coordinates.
+    ``seed`` reaches only the stochastic kinds; ``params`` may not hold it.
+    The same (kind, params, seed) triple always yields bit-identical
+    coordinates.
     """
     builder = _BUILDERS.get(kind)
     if builder is None:
@@ -220,6 +221,8 @@ def generate(
             f"unknown scenario kind {kind!r}; expected one of {', '.join(SCENARIO_KINDS)}"
         )
     params = dict(params or {})
+    if "seed" in params:
+        raise ValueError(f"scenario {kind!r}: give the seed as the seed argument (--seed)")
     if kind in _STOCHASTIC_KINDS and seed is not None:
         params["seed"] = seed
     try:

@@ -215,6 +215,36 @@ def test_cluster_unwritable_svg_keeps_a_labels_file_it_did_not_create(tmp_path):
     assert out.exists()
 
 
+def test_cluster_internal_error_exits_two(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("labels lost")
+
+    monkeypatch.setattr("radclust.cli.cluster_pointset", broken)
+    inp = str(tmp_path / "chain.csv")
+    _write_chain_csv(inp)
+    code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", str(tmp_path / "l.json")])
+    assert code == 2
+    assert capsys.readouterr().err == "internal error: labels lost\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv"]
+
+
+def test_cluster_internal_error_after_the_labels_removes_both_outputs(
+    tmp_path, monkeypatch, capsys
+):
+    def broken(*args, **kwargs):
+        assert (tmp_path / "labels.json").exists()
+        raise RuntimeError("plot lost")
+
+    monkeypatch.setattr("radclust.cli.render_points_svg", broken)
+    inp = str(tmp_path / "chain.csv")
+    _write_chain_csv(inp)
+    out, svg = str(tmp_path / "labels.json"), str(tmp_path / "plot.svg")
+    code = main(["cluster", "--input", inp, "--radius", "1.5", "--out", out, "--svg", svg])
+    assert code == 2
+    assert capsys.readouterr().err == "internal error: plot lost\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.csv"]
+
+
 def test_cluster_beyond_physical_memory_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(geometry, "_physical_memory", lambda: 7 * 7 - 1)
     inp = str(tmp_path / "chain.csv")
@@ -393,6 +423,35 @@ def test_generate_bad_param_value(tmp_path, capsys):
     )
     assert code == 1
     assert "positive" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    code = main(["generate", "--kind", "chain", "--param", "n=abc", "--out", str(out)])
+    assert code == 1
+    assert "invalid --param 'n=abc': value must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_refuses_a_repeated_param(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["generate", "--kind", "chain", "--param", "n=3", "--param", "n=4", "--out", str(out)]
+    )
+    assert code == 1
+    assert "--param n is given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_refuses_a_seed_param(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(
+        [
+            "generate", "--kind", "blob",
+            "--param", "n=5", "--param", "spacing=1", "--param", "jitter=0.1",
+            "--param", "seed=3", "--seed", "4", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +827,10 @@ def test_bench_rejects_bad_sizes(tmp_path, capsys):
     assert main(["bench", "--bench-n", "5,x", "--out", str(tmp_path / "b.json")]) == 1
     assert "invalid" in capsys.readouterr().err
     assert main(["bench", "--bench-n", "0", "--out", str(tmp_path / "b.json")]) == 1
+    capsys.readouterr()
+    assert main(["bench", "--bench-n", ",,", "--out", str(tmp_path / "b.json")]) == 1
+    assert "--bench-n must list at least one node count" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 # ---------------------------------------------------------------------------

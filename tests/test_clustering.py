@@ -68,6 +68,13 @@ def test_labels_reject_zero_rows():
         cluster_labels(BinaryMatrix(bits))
 
 
+def test_mask_labels_reject_zero_rows():
+    bits = np.eye(3, dtype=bool)
+    bits[1, 1] = False
+    with pytest.raises(ValueError, match="all-zero row"):
+        mask_labels(BinaryMatrix(bits))
+
+
 def test_oracle_identity_and_all_ones():
     eye = BinaryMatrix(np.eye(4, dtype=bool))
     assert connected_components_oracle(eye).labels.tolist() == [1, 2, 3, 4]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radclust.cli import main
 from radclust.clustering import build_cluster_table, cluster_pointset
 from radclust.geometry import ClusteringConfig, PointSet
 from radclust.io import (
@@ -23,7 +24,13 @@ from radclust.io import (
     write_points_csv,
     write_trajectory_csv,
 )
-from radclust.trajectory import ClusterEvent, Frame, cluster_frames, synthetic_motorcade
+from radclust.trajectory import (
+    ClusterEvent,
+    Frame,
+    cluster_frames,
+    detect_events,
+    synthetic_motorcade,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +245,20 @@ def test_points_csv_bytes_that_are_not_utf8_name_the_line_past_the_first_chunk(t
         read_points_csv(str(path))
 
 
+@pytest.mark.parametrize(
+    "row",
+    [b"0,oops,0\n", b"0,0\n", b"0,inf,0\n", b"a" * (csv.field_size_limit() + 1) + b",0,0\n"],
+    ids=["bad-coordinate", "short-record", "non-finite", "field-over-the-size-limit"],
+)
+def test_points_csv_refuses_bytes_that_are_not_utf8_before_any_record(tmp_path, row):
+    # Which record fault comes first must not decide which error is reported.
+    path = tmp_path / "pts.csv"
+    filler = b"".join(b"%d,0.5,0.25\n" % k for k in range(1, 2001))  # 16 KiB and more
+    path.write_bytes(b"id,x,y\n" + row + filler + b"\xff,1,1\n")
+    with pytest.raises(ValueError, match=r"pts\.csv: line 2003: can't decode byte 0xff"):
+        read_points_csv(str(path))
+
+
 def test_points_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,inf,0.0\n")
@@ -360,6 +381,15 @@ def test_trajectory_csv_bytes_that_are_not_utf8_name_the_line(tmp_path):
         read_trajectory_csv(str(path))
 
 
+@pytest.mark.parametrize("row", [b"0,0,oops,0\n", b"x,0,0,0\n", b"0,0,0\n"])
+def test_trajectory_csv_refuses_bytes_that_are_not_utf8_before_any_record(tmp_path, row):
+    path = tmp_path / "traj.csv"
+    filler = b"".join(b"1,%d,0.5,0.25\n" % k for k in range(2000))  # 16 KiB and more
+    path.write_bytes(b"t,id,x,y\n" + row + filler + b"1,\xff,1,1\n")
+    with pytest.raises(ValueError, match=r"traj\.csv: line 2003: can't decode byte 0xff"):
+        read_trajectory_csv(str(path))
+
+
 def test_trajectory_csv_rejects_decreasing_t(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("t,id,x,y\n1,0,0.0,0.0\n0,0,0.0,0.0\n")
@@ -448,6 +478,15 @@ def test_equirect_requires_two_columns():
     frame = Frame(t=0.0, points=PointSet([(1.0, 2.0, 3.0)]))
     with pytest.raises(ValueError, match="2 coordinate columns"):
         project_equirect([frame])
+    # Every frame is checked, not only the first.
+    frames = [Frame(t=0.0, points=PointSet([(1.0, 2.0)])), Frame(t=1.5, points=frame.points)]
+    with pytest.raises(ValueError, match=r"frame t=1\.5: .*2 coordinate columns \(lat, lon\)"):
+        project_equirect(frames)
+
+
+def test_equirect_refuses_no_frames():
+    with pytest.raises(ValueError, match="at least one frame"):
+        project_equirect([])
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +556,34 @@ def test_write_json_format(tmp_path):
     assert json.loads(raw) == {"b": 1, "a": [1, 2]}
     # keys keep insertion order (stable output for byte-identical runs)
     assert raw.index(b'"b"') < raw.index(b'"a"')
+
+
+def test_write_json_writes_the_documents_radclust_writes_without_json_dumps(tmp_path, monkeypatch):
+    ps = PointSet([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]], ids=["a", "b", "c"])
+    lv, table = cluster_pointset(ps, ClusteringConfig(radius=1.5))
+    frames = synthetic_motorcade()
+    results = cluster_frames(frames, ClusteringConfig(radius=15.0))
+    events = detect_events(results, frames)
+    assert events
+    documents = {
+        "labels": cluster_payload(1.5, lv, table),
+        "frames": frames_payload(15.0, frames, results),
+        "events": events_payload(events),
+        "no-events": events_payload([]),
+    }
+    expected = {name: json.dumps(doc, indent=2) + "\n" for name, doc in documents.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    for name, doc in documents.items():
+        write_json(doc, str(tmp_path / f"{name}.json"))
+        assert (tmp_path / f"{name}.json").read_bytes() == expected[name].encode("utf-8")
+    bench = tmp_path / "bench.json"
+    assert main(["bench", "--bench-n", "2,7,10,64,100", "--out", str(bench)]) == 0
+    monkeypatch.undo()
+    assert bench.read_bytes() == (json.dumps(json.loads(bench.read_bytes()), indent=2) + "\n").encode()
 
 
 def test_build_cluster_table_payload_consistency():

@@ -177,6 +177,11 @@ def test_generate_rejects_unknown_kind():
         generate("spiral", {})
 
 
+def test_generate_refuses_a_seed_in_params():
+    with pytest.raises(ValueError, match="seed argument"):
+        generate("blob", {"n": 5, "spacing": 1.0, "jitter": 0.1, "seed": 3}, seed=4)
+
+
 def test_generate_rejects_unknown_parameter():
     with pytest.raises(ValueError, match="chain"):
         generate("chain", {"n": 5, "pitch": 1.0})
