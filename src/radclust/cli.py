@@ -209,7 +209,8 @@ def _parse_params(items: list[str]) -> dict:
 
 def _cmd_generate(args) -> None:
     ps = generate(args.kind, _parse_params(args.param), args.seed)
-    write_points_csv(ps, args.out)
+    with _removed_on_error([args.out]):
+        write_points_csv(ps, args.out)
 
 
 def _cmd_trajectory(args) -> None:
@@ -281,7 +282,8 @@ def _cmd_bench(args) -> None:
                 mask_labels(g_fast) == mask_labels(g_naive)
             )
         records.append(record)
-    write_json(records, args.out)
+    with _removed_on_error([args.out]):
+        write_json(records, args.out)
 
 
 _HANDLERS = {

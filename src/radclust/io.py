@@ -21,11 +21,11 @@ writers refuse, before opening their file, ids that would not read back
 unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
 
 The reader works by column: one ``csv.reader`` pass, then ``float()`` over
-each column and one vectorised finiteness and timestamp-order check.  A file
-that is not UTF-8 is refused for its first undecodable byte before any
-record is checked.  Only when a check on the records fails does the reader
-walk the file again, to word the error of the first bad record with its
-physical line, as a record-by-record reader would.
+each column and one vectorised finiteness and timestamp-order check.  Only
+when that pass fails, for whatever reason, decoding included, does one walk
+read the file's bytes again to word the refusal: first the file's first
+byte that is not UTF-8, then the first bad record, each with its physical
+line, as a record-by-record reader would.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
@@ -49,6 +49,7 @@ import json
 import math
 import operator
 import re
+from io import BytesIO, TextIOWrapper
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import NoReturn, Sequence
 
@@ -94,28 +95,53 @@ def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
     return value
 
 
-def _records(fh, path: str):
-    """``(physical start line, row)`` of each non-blank CSV record.
+def _header_fault(header: list[str], lead: tuple[str, ...]) -> str | None:
+    """Why ``header`` is not ``lead`` and at least one coordinate name, or ``None``."""
+    names = [name.strip().lower() for name in header[: len(lead)]]
+    if len(header) <= len(lead) or names != list(lead):
+        return f"header must be {','.join(lead)},<coord>,... got {','.join(header)!r}"
+    return None
 
-    A record the ``csv`` module refuses (a field over its size limit, say)
-    raises ``ValueError`` naming ``path`` and the line the record starts on.
+
+def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """Raw ids and float block of a CSV whose header starts with ``lead``.
+
+    ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
+    timestamp, when there is one, which may not decrease, and then the
+    coordinate columns, at least one.  The columns are parsed whole; any
+    failure, decoding included, sends the file to :func:`_read_records`,
+    which reports the first fault.
     """
-    reader = csv.reader(fh)
-    line_no = 1
     try:
-        for row in reader:
-            if row:
-                yield line_no, row
-            line_no = reader.line_num + 1
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = list(filter(None, csv.reader(fh)))  # the non-blank records
+        header = rows[0] if rows else []
+        if _header_fault(header, lead) or len(rows) < 2 or len(set(map(len, rows))) != 1:
+            raise ValueError
+        columns = list(zip(*rows))
+        del rows, header  # the row lists; the columns keep their strings
+        n = len(columns[0]) - 1
+        raw_ids = list(map(str.strip, columns.pop(len(lead) - 1)[1:]))
+        block = np.empty((n, len(columns)))
+        for j, column in enumerate(columns):
+            block[:, j] = np.fromiter(map(float, itertools.islice(column, 1, None)), float, n)
+        del columns
+        stamps = block[:, 0]
+        if not np.isfinite(block).all() or (len(lead) > 1 and (stamps[1:] < stamps[:-1]).any()):
+            raise ValueError
+        return raw_ids, block
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        pass  # worded outside the handler, so the refusal chains no exception
+    _read_records(path, lead)
 
 
-def _not_utf8(path: str) -> str:
-    """The error of a file whose bytes are not UTF-8, with its physical line.
+def _read_records(path: str, lead: tuple[str, ...]) -> NoReturn:
+    """Raise the error of the first fault in a file :func:`_read_csv` refused.
 
-    The text decoder reads ahead a chunk at a time, and its error gives an
-    offset into that chunk, so the line comes from decoding the whole file.
+    The first byte that is not UTF-8 is reported first, with its physical
+    line.  Then each record is checked in full (field count, timestamp,
+    timestamp order, coordinates) before the next, so the first malformed
+    record is the one reported, as a record-by-record reader would report it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -125,93 +151,42 @@ def _not_utf8(path: str) -> str:
         # Lines end at "\r\n", "\r" or "\n", as for the csv reader.
         head = raw[: exc.start]
         line_no = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return (
+        raise ValueError(
             f"{path}: line {line_no}: can't decode byte 0x{raw[exc.start]:02x} "
             f"as UTF-8: {exc.reason}"
-        )
-    return f"{path}: not UTF-8"  # the file changed since it was read
-
-
-def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
-    """Raw ids and float block of a CSV whose header starts with ``lead``.
-
-    ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
-    timestamp, when there is one, which may not decrease, and then the
-    coordinate columns, at least one.  The columns are parsed whole; when any
-    check fails, :func:`_read_records` reads the file again to report the
-    first bad record.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            try:
-                rows = list(filter(None, csv.reader(fh)))  # the non-blank records
-            except csv.Error:
-                fh.read()  # the rest of the file must decode too
-                rows = []
-        except UnicodeDecodeError:
-            raise ValueError(_not_utf8(path)) from None
-    header = rows[0] if rows else []
-    names = [name.strip().lower() for name in header[: len(lead)]]
-    if (
-        len(rows) < 2
-        or len(header) <= len(lead)
-        or names != list(lead)
-        or len(set(map(len, rows))) != 1
-    ):
-        _read_records(path, lead)
-    columns = list(zip(*rows))
-    del rows, header  # the row lists; the columns keep their strings
-    n = len(columns[0]) - 1
-    raw_ids = list(map(str.strip, columns.pop(len(lead) - 1)[1:]))
-    block = np.empty((n, len(columns)))
-    try:
-        for j, column in enumerate(columns):
-            block[:, j] = np.fromiter(map(float, itertools.islice(column, 1, None)), float, n)
-    except ValueError:
-        _read_records(path, lead)
-    del columns
-    stamps = block[:, 0]
-    if not np.isfinite(block).all() or (len(lead) > 1 and (stamps[1:] < stamps[:-1]).any()):
-        _read_records(path, lead)
-    return raw_ids, block
-
-
-def _read_records(path: str, lead: tuple[str, ...]) -> NoReturn:
-    """Raise the error of the first bad record in a file :func:`_read_csv` refused.
-
-    Each record is checked in full (field count, timestamp, timestamp order,
-    coordinates) before the next, so the first malformed record is the one
-    reported, as a record-by-record reader would report it.
-    """
+        ) from None
     id_col = len(lead) - 1  # 1 after a timestamp column
     # utf-8-sig drops a leading byte-order mark, which would spoil the header.
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        records = _records(fh, path)
-        header_no, header = next(records, (None, None))
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        names = [name.strip().lower() for name in header[: len(lead)]]
-        if len(header) <= len(lead) or names != list(lead):
-            raise ValueError(
-                f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
-                f"got {','.join(header)!r}"
-            )
-        previous = -math.inf
-        for line_no, row in records:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            if id_col:
-                t = _parse_float(row[0], path, line_no, "timestamp")
-                if t < previous:
+    reader = csv.reader(TextIOWrapper(BytesIO(raw), encoding="utf-8-sig", newline=""))
+    header = None
+    previous = -math.inf
+    line_no = 1  # where the next record starts
+    try:
+        for row in reader:
+            if row and header is None:
+                header = row
+                fault = _header_fault(row, lead)
+                if fault:
+                    raise ValueError(f"{path}: line {line_no}: {fault}")
+            elif row:
+                if len(row) != len(header):
                     raise ValueError(
-                        f"{path}: line {line_no}: timestamp {t} decreases (previous was {previous})"
+                        f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
                     )
-                previous = t
-            for token in row[id_col + 1 :]:
-                _parse_float(token, path, line_no, "coordinate")
-    raise ValueError(f"{path}: no data rows")
+                if id_col:
+                    t = _parse_float(row[0], path, line_no, "timestamp")
+                    if t < previous:
+                        raise ValueError(
+                            f"{path}: line {line_no}: timestamp {t} decreases "
+                            f"(previous was {previous})"
+                        )
+                    previous = t
+                for token in row[id_col + 1 :]:
+                    _parse_float(token, path, line_no, "coordinate")
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")
 
 
 def _coord_names(d: int) -> list[str]:

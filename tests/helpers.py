@@ -3,7 +3,8 @@
 Everything here is deliberately written against different primitives than
 the library under test: hop distances come from per-source BFS, integer
 matrix products come straight from numpy, adjacency patterns are spelled
-out index-by-index, and CSV files are read one record at a time.
+out index-by-index, and CSV files are decoded one line and read one record
+at a time.
 """
 
 import csv
@@ -111,8 +112,8 @@ def _parse_float(token, path, line_no, what):
     return value
 
 
-def _records(fh, path):
-    reader = csv.reader(fh)
+def _records(lines, path):
+    reader = csv.reader(lines)
     line_no = 1
     try:
         for row in reader:
@@ -127,39 +128,54 @@ def read_csv_by_record(path, lead):
     """Raw ids and float block of a point or trajectory CSV, one record at a time.
 
     The record-by-record reader the columnar ``radclust.io._read_csv`` must
-    match: ``lead`` is ``("id",)`` or ``("t", "id")``; each record is checked
-    in full (field count, timestamp, timestamp order, coordinates) before the
-    next, so the first malformed record is the one reported, with the
-    physical line it starts on.
+    match: ``lead`` is ``("id",)`` or ``("t", "id")``.  Each physical line
+    (ended by ``\r\n``, ``\r`` or ``\n``, kept on the line) is decoded on
+    its own first, so a byte that is not UTF-8 is reported before any record
+    is looked at.  Then each record is checked in full (field count,
+    timestamp, timestamp order, coordinates) before the next, so the first
+    malformed record is the one reported, with the physical line it starts
+    on.
     """
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines(keepends=True)
+    lines = []
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {line_no}: can't decode byte 0x{raw[exc.start]:02x} "
+                f"as UTF-8: {exc.reason}"
+            ) from None
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]  # a byte-order mark
     id_col = len(lead) - 1
     raw_ids = []
     block = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        records = _records(fh, path)
-        header_no, header = next(records, (None, None))
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        names = [name.strip().lower() for name in header[: len(lead)]]
-        if len(header) <= len(lead) or names != list(lead):
+    records = _records(lines, path)
+    header_no, header = next(records, (None, None))
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    names = [name.strip().lower() for name in header[: len(lead)]]
+    if len(header) <= len(lead) or names != list(lead):
+        raise ValueError(
+            f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
+            f"got {','.join(header)!r}"
+        )
+    for line_no, row in records:
+        if len(row) != len(header):
             raise ValueError(
-                f"{path}: line {header_no}: header must be {','.join(lead)},<coord>,... "
-                f"got {','.join(header)!r}"
+                f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
             )
-        for line_no, row in records:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
-            if values and block and values[0] < block[-1][0]:
-                raise ValueError(
-                    f"{path}: line {line_no}: timestamp {values[0]} decreases "
-                    f"(previous was {block[-1][0]})"
-                )
-            values += [_parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]]
-            raw_ids.append(row[id_col].strip())
-            block.append(values)
+        values = [_parse_float(row[0], path, line_no, "timestamp")] if id_col else []
+        if values and block and values[0] < block[-1][0]:
+            raise ValueError(
+                f"{path}: line {line_no}: timestamp {values[0]} decreases "
+                f"(previous was {block[-1][0]})"
+            )
+        values += [_parse_float(c, path, line_no, "coordinate") for c in row[id_col + 1 :]]
+        raw_ids.append(row[id_col].strip())
+        block.append(values)
     if not raw_ids:
         raise ValueError(f"{path}: no data rows")
     return raw_ids, np.array(block)

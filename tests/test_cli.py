@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import os
 import pytest
 
 import radclust.geometry as geometry
+import radclust.io
 import radclust.scenarios as scenarios
 from radclust.cli import main
 from radclust.geometry import PointSet
@@ -373,6 +375,25 @@ def test_generate_out_of_memory_exits_one(tmp_path, monkeypatch, capsys):
     code = main(["generate", "--kind", "chain", "--param", "n=1", "--out", str(out)])
     assert code == 1
     assert "error: out of memory: Unable to allocate 72.8 TiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_failed_write_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
+    fields = itertools.count()
+    csv_field = radclust.io._csv_field
+
+    def field_then_full_disk(value):
+        if next(fields) == 30:
+            raise OSError(28, "No space left on device")
+        return csv_field(value)
+
+    monkeypatch.setattr("radclust.io._csv_field", field_then_full_disk)
+    out = tmp_path / "chain.csv"
+    code = main(
+        ["generate", "--kind", "chain", "--param", "n=100", "--param", "spacing=1", "--out", str(out)]
+    )
+    assert code == 1
+    assert "No space left on device" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -925,3 +946,24 @@ def test_trajectory_outputs_match_their_golden_hashes(tmp_path):
     assert len(_read_json(events)) == GOLDEN_EVENT_COUNT
     digests = [hashlib.sha256(_read_bytes(p)).hexdigest() for p in (out, events)]
     assert digests == GOLDEN_DIGESTS
+
+
+def test_bench_failed_write_leaves_no_partial_json(tmp_path, monkeypatch, capsys):
+    real_open = open
+
+    def full_disk_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        write = fh.write
+
+        def write_ten_then_fail(text):
+            write(text[:10])
+            raise OSError(28, "No space left on device")
+
+        fh.write = write_ten_then_fail
+        return fh
+
+    monkeypatch.setattr("radclust.io.open", full_disk_open, raising=False)
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--bench-n", "2,7", "--out", str(out)]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ intersection of every cluster pair for the split/merge events,
 for the columnar CSV reader.
 """
 
+import csv
 import fractions
 import json
 import tracemalloc
@@ -675,9 +676,18 @@ _BAD_FLOATS = ["nan", "inf", "-Infinity", "oops", "", "1e400", "0x1"]
 _IDS = ["0", "1", "-3", "07", "a", "b c", " d ", '"a,b"', '"x\ny"', '"p\r\nq"', '"q""q"', "1"]
 
 
+_UNDECODABLE = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+_BYTE_SLOT = "\ue000"  # stands for a drawn undecodable byte sequence
+
+
 @st.composite
 def _csv_texts(draw, timestamped):
-    """A point or trajectory CSV file: mostly good rows, some faults."""
+    """A point or trajectory CSV file: mostly good rows, some faults.
+
+    A record's fault may also be a byte sequence that is not UTF-8 or a
+    field over ``csv.field_size_limit()``; either can follow an earlier
+    record's fault.
+    """
     lead = ["t", "id"] if timestamped else ["id"]
     d = draw(st.integers(1, 3))
     header = draw(st.sampled_from([lead] * 12 + [[name.upper() for name in lead], [" " + lead[0]] + lead[1:], ["x"] + lead[1:]]))
@@ -686,7 +696,7 @@ def _csv_texts(draw, timestamped):
     stamps = sorted(draw(st.lists(st.sampled_from(["0", "1", "2.5", "10"]), min_size=n, max_size=n)), key=float)
     lines = [",".join(header)]
     for k in range(n):
-        fault = draw(st.sampled_from(["none"] * 12 + ["short", "long", "bad", "bad", "decrease", "decrease", "blank"]))
+        fault = draw(st.sampled_from(["none"] * 12 + ["short", "long", "bad", "bad", "decrease", "decrease", "blank", "byte", "byte", "huge"]))
         fields = [draw(st.sampled_from(_IDS))] + [draw(st.sampled_from(_GOOD_FLOATS)) for _ in range(d)]
         if timestamped:
             fields.insert(0, "-1" if fault == "decrease" and k else stamps[k])
@@ -696,6 +706,10 @@ def _csv_texts(draw, timestamped):
             fields.append("0")
         elif fault == "bad":
             fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_BAD_FLOATS))
+        elif fault == "byte":
+            fields[draw(st.integers(0, len(fields) - 1))] += _BYTE_SLOT
+        elif fault == "huge":
+            fields[draw(st.integers(0, len(fields) - 1))] = "1" * (csv.field_size_limit() + 1)
         elif fault == "blank":
             lines.append("")
         lines.append(",".join(fields))
@@ -706,7 +720,10 @@ def _csv_texts(draw, timestamped):
     for line in lines[1:]:
         text += (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends) + line
     bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
-    return bom + text.encode("utf-8")
+    raw = text.encode("utf-8")
+    for _ in range(text.count(_BYTE_SLOT)):
+        raw = raw.replace(_BYTE_SLOT.encode("utf-8"), draw(st.sampled_from(_UNDECODABLE)), 1)
+    return bom + raw
 
 
 def _read_or_error(read, path, lead):

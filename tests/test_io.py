@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import traceback
 
 import numpy as np
 import pytest
@@ -259,6 +260,16 @@ def test_points_csv_refuses_bytes_that_are_not_utf8_before_any_record(tmp_path, 
         read_points_csv(str(path))
 
 
+@pytest.mark.parametrize("row", [b"0,0\n", b"0,inf,0\n", b"\xff,0,0\n"], ids=["short", "non-finite", "not-utf8"])
+def test_points_csv_refusal_chains_no_exception(tmp_path, row):
+    # The columnar pass's own failure is not shown beneath the refusal.
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"id,x,y\n" + row)
+    with pytest.raises(ValueError, match=r"pts\.csv: line 2: ") as info:
+        read_points_csv(str(path))
+    assert "During handling" not in "".join(traceback.format_exception(info.value))
+
+
 def test_points_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,inf,0.0\n")
@@ -388,6 +399,32 @@ def test_trajectory_csv_refuses_bytes_that_are_not_utf8_before_any_record(tmp_pa
     path.write_bytes(b"t,id,x,y\n" + row + filler + b"1,\xff,1,1\n")
     with pytest.raises(ValueError, match=r"traj\.csv: line 2003: can't decode byte 0xff"):
         read_trajectory_csv(str(path))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_valid_csv_files_never_reach_the_record_walk(tmp_path, monkeypatch, d, end):
+    # The walk only words refusals: a good file is read once, by columns.
+    def walk(path, lead):
+        raise AssertionError(f"{path} reached the record walk")
+
+    monkeypatch.setattr("radclust.io._read_records", walk)
+    names = ["x", "y", "z", "c3"][:d]
+    ids = ("a,b", "x\ny", "p\r\nq", "r\rs", "7")
+    quoted = ['"a,b"', '"x\ny"', '"p\r\nq"', '"r\rs"', "7"]
+    rows = [[q, *(f"{k}.{j}" for j in range(d))] for k, q in enumerate(quoted)]
+    coords = [[float(token) for token in row[1:]] for row in rows]
+    points = tmp_path / "pts.csv"
+    lines = [["id", *names], *rows]
+    points.write_bytes(("\ufeff" + "".join(",".join(row) + end for row in lines)).encode("utf-8"))
+    ps = read_points_csv(str(points))
+    assert ps.ids == ids and ps.coords.tolist() == coords
+    traj = tmp_path / "traj.csv"
+    lines = [["t", "id", *names], *(["0", *row] for row in rows), *(["1", *row] for row in rows)]
+    traj.write_bytes(("\ufeff" + "".join(",".join(row) + end for row in lines)).encode("utf-8"))
+    frames = read_trajectory_csv(str(traj))
+    assert [frame.t for frame in frames] == [0.0, 1.0]
+    assert all(frame.points.ids == ids and frame.points.coords.tolist() == coords for frame in frames)
 
 
 def test_trajectory_csv_rejects_decreasing_t(tmp_path):
