@@ -50,16 +50,12 @@ __all__ = ["main"]
 NAIVE_BENCH_LIMIT = 64
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through the normal
     # input-error path (exit 1) instead.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_svg(args, ps: PointSet) -> None:
-    # Checked before any output is written, so a bad --svg leaves no files.
+    # Refused before any clustering runs, with the flag's own message.
     if args.svg and ps.dimension != 2:
         raise ValueError(f"--svg needs 2-d points, got d={ps.dimension}")
 

@@ -133,8 +133,7 @@ def _component_roots(bits: np.ndarray) -> tuple[np.ndarray, int]:
     component, and the number of rounds run, at most ``2 floor(log2 n) + 1``.
     """
     n = bits.shape[0]
-    # Node indices and n itself fit the narrowest unsigned dtype.
-    roots = np.arange(n, dtype=np.min_scalar_type(n))
+    roots = np.arange(n)
     # Every row of the view reads ``roots``, which is only updated in place.
     view = np.broadcast_to(roots, bits.shape)
     rounds = 0
@@ -172,9 +171,8 @@ def cluster_labels(g: BinaryMatrix) -> LabelVector:
 def build_cluster_table(lv: LabelVector) -> ClusterTable:
     """Count nodes per label and rank clusters by descending size."""
     counts = np.bincount(lv.labels)[1:]
-    labels = np.arange(1, counts.size + 1)
-    frequencies = dict(zip(labels.tolist(), counts.tolist()))
-    ranking = tuple((np.lexsort((labels, -counts)) + 1).tolist())
+    frequencies = dict(enumerate(counts.tolist(), 1))
+    ranking = tuple((np.argsort(-counts, kind="stable") + 1).tolist())
     return ClusterTable(frequencies=frequencies, ranking=ranking)
 
 

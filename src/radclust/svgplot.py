@@ -69,9 +69,11 @@ def render_points_svg(
 def frame_svg_paths(out_dir: str, n_frames: int) -> list[str]:
     """Paths of the per-frame SVGs in ``out_dir``: frame_0000.svg, ...
 
-    Named by frame index so they sort in time order.
+    Named by frame index, zero-padded to at least four digits and to the
+    width of the last index, so they sort in time order.
     """
-    return [os.path.join(out_dir, f"frame_{idx:04d}.svg") for idx in range(n_frames)]
+    width = max(4, len(str(n_frames - 1)))
+    return [os.path.join(out_dir, f"frame_{idx:0{width}d}.svg") for idx in range(n_frames)]
 
 
 def render_frames_svg(

@@ -101,6 +101,11 @@ def cluster_frames(
     return [cluster_pointset(frame.points, cfg) for frame in frames]
 
 
+def _id_key(node_id: NodeId) -> tuple[bool, NodeId]:
+    # Total over mixed int and str ids (ints first); natural order otherwise.
+    return isinstance(node_id, str), node_id
+
+
 def detect_events(
     results: Sequence[tuple[LabelVector, ClusterTable]],
     frames: Sequence[Frame],
@@ -109,8 +114,8 @@ def detect_events(
 
     The links (module docstring) and each event's members come from one
     F x n label matrix in the first frame's id order, which
-    :func:`validate_frames` gives.  Events are ordered by frame, then splits
-    before merges, then by lowest member id.  ``ValueError`` names a frame
+    :func:`validate_frames` gives.  Events go by frame, splits before merges,
+    then lowest member id, ints before strs.  ``ValueError`` names a frame
     that breaks a trajectory rule or whose label count is not its point count.
     """
     if len(results) != len(frames):
@@ -139,13 +144,12 @@ def detect_events(
         keep = count >= 2
         for head, lo, hi in zip(heads[keep], first[keep], (first + count)[keep]):
             f, label = divmod(int(head), base)
-            at = f + (kind == "merge")  # members: a split's at t-1, a merge's at t
-            rows = np.flatnonzero(aligned[at] == label).tolist()
+            rows = np.flatnonzero(group[f] == label).tolist()
             partners = tuple(partner[lo:hi].tolist())
             links = ((label,), partners) if kind == "split" else (partners, (label,))
-            members = tuple(sorted(ids[i] for i in rows))
+            members = tuple(sorted((ids[i] for i in rows), key=_id_key))
             found.append((f, ClusterEvent(frames[f + 1].t, kind, *links, members)))
-    found.sort(key=lambda fe: (fe[0], fe[1].kind != "split", fe[1].member_ids[0]))
+    found.sort(key=lambda fe: (fe[0], fe[1].kind != "split", _id_key(fe[1].member_ids[0])))
     return [event for _, event in found]
 
 

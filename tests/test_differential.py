@@ -124,6 +124,7 @@ def test_adjacency_candidate_batches_split_cell_pairs(monkeypatch):
             sizes.append(i.size)
             pairs.update(zip(i.tolist(), j.tolist()))
         assert cell_pairs.total == 37 and sum(sizes) == 37
+        assert max(sizes) <= budget  # build_adjacency's memory bound rests on it
         assert {frozenset(p) for p in pairs} == {
             frozenset((i, j)) for i in range(7) for j in range(7)
         }

@@ -5,7 +5,7 @@ import pytest
 
 from radclust.clustering import cluster_pointset
 from radclust.geometry import ClusteringConfig, PointSet
-from radclust.svgplot import render_frames_svg, render_points_svg
+from radclust.svgplot import frame_svg_paths, render_frames_svg, render_points_svg
 from radclust.trajectory import cluster_frames, synthetic_motorcade
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -74,6 +74,13 @@ def test_frame_svgs_share_one_viewport(tmp_path):
         root = ET.parse(p).getroot()
         sizes.add((root.get("width"), root.get("height"), root.get("viewBox")))
     assert len(sizes) == 1  # same global bounding box for every frame
+
+
+def test_frame_svg_paths_sort_in_time_order_past_ten_thousand_frames():
+    paths = frame_svg_paths("d", 10001)
+    assert sorted(paths) == paths
+    assert paths[-1].endswith("frame_10000.svg") and paths[0].endswith("frame_00000.svg")
+    assert frame_svg_paths("d", 10000)[-1].endswith("frame_9999.svg")
 
 
 def test_frame_svgs_require_matching_lengths(tmp_path):

@@ -171,6 +171,22 @@ def test_three_way_merge_reports_all_parents():
     assert merge.member_ids == (0, 1, 2)
 
 
+def test_events_sort_ids_that_mix_int_and_str():
+    # Ints sort before strs: members within an event and events by lowest member.
+    frames = [
+        _frame(0, [[0.0, 0.0], [1.0, 0.0]], ids=[1, "a"]),
+        _frame(1, [[0.0, 0.0], [5.0, 0.0]], ids=[1, "a"]),
+    ]
+    events = detect_events(cluster_frames(frames, ClusteringConfig(radius=2.0)), frames)
+    assert [(e.t, e.kind, e.member_ids) for e in events] == [(1.0, "split", (1, "a"))]
+    rows = [[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]]
+    apart = [[0.0, 0.0], [5.0, 0.0], [10.0, 0.0], [15.0, 0.0]]
+    ids = ["z", "y", "b", 5]
+    frames = [_frame(0, rows, ids=ids), _frame(1, apart, ids=ids)]
+    events = detect_events(cluster_frames(frames, ClusteringConfig(radius=2.0)), frames)
+    assert [e.member_ids for e in events] == [(5, "b"), ("y", "z")]
+
+
 def test_events_conserve_membership():
     # any split's parent members equal the union of its children's members
     frames = synthetic_motorcade()
