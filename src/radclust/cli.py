@@ -11,8 +11,9 @@ Four commands:
 
 Exit codes: 0 success, 1 input error (an input too large for memory
 included), 2 internal invariant violation.  Every error path prints a single
-``error: ...`` line to stderr, and a failed run leaves none of the output
-files or directories it created.
+``error: ...`` line to stderr.  One guard per run (``_outputs``) refuses an
+output that names the input or another output before any clustering, and
+on failure removes the output files and directories the run created.
 """
 
 from __future__ import annotations
@@ -120,13 +121,21 @@ def _check_svg(args, ps: PointSet) -> None:
         raise ValueError(f"--svg needs 2-d points, got d={ps.dimension}")
 
 
-def _check_distinct_outputs(*flagged: tuple[str, str | None]) -> None:
-    """Refuse two ``(flag, path)`` pairs on one file; call before writing.
+@contextmanager
+def _outputs(source, *outputs, svg_dir=None):
+    """Guard one command run's outputs.
 
-    Pass the input with the outputs, so that no output overwrites it.
+    ``outputs`` are the ``(flag, path)`` pairs of every file the block may
+    write, a path ``None`` when its flag is not given; ``svg_dir`` is a
+    directory it may create with ``os.makedirs``.  On entry, two of the input
+    ``source``, the outputs and ``svg_dir`` that name one file are refused.
+    If the block fails, the output files, ``svg_dir`` and its parents that
+    did not exist on entry are removed: files first, then directories,
+    innermost first, with ``os.rmdir``, which leaves a directory holding
+    anything else.  Nothing else is touched.
     """
     seen = {}
-    for flag, path in flagged:
+    for flag, path in [("input", source), *outputs, ("svg", svg_dir)]:
         if path:
             real = os.path.realpath(path)
             if real in seen:
@@ -134,47 +143,26 @@ def _check_distinct_outputs(*flagged: tuple[str, str | None]) -> None:
                     f"--{seen[real]} and --{flag} name the same file {path!r}"
                 )
             seen[real] = flag
-
-
-def _missing_dirs(path: str) -> list[str]:
-    """The directories ``os.makedirs(path)`` creates, innermost first."""
-    dirs = []
-    path = os.path.normpath(path)
+    new = [(os.remove, path) for _, path in outputs if path and not os.path.lexists(path)]
+    path = os.path.normpath(svg_dir) if svg_dir else ""
     while path and not os.path.lexists(path):
-        dirs.append(path)
+        new.append((os.rmdir, path))
         path = os.path.dirname(path)
-    return dirs
-
-
-@contextmanager
-def _removed_on_error(files, dirs=()):
-    """Delete the outputs a failing block created.
-
-    ``files`` lists every file the block may write and ``dirs`` every
-    directory it may create, each directory before its parent.  On failure
-    the listed paths that did not exist before the block are removed: files
-    first, then directories with ``os.rmdir``, which leaves a directory
-    holding anything else.  Nothing unlisted or pre-existing is touched.
-    """
-    new_files = [path for path in files if path and not os.path.lexists(path)]
-    new_dirs = [path for path in dirs if not os.path.lexists(path)]
     try:
         yield
     except BaseException:
-        for remove, paths in ((os.remove, new_files), (os.rmdir, new_dirs)):
-            for path in paths:
-                with suppress(OSError):
-                    remove(path)
+        for remove, path in new:
+            with suppress(OSError):
+                remove(path)
         raise
 
 
 def _cmd_cluster(args) -> None:
-    _check_distinct_outputs(("input", args.input), ("out", args.out), ("svg", args.svg))
-    cfg = ClusteringConfig(radius=args.radius)
-    ps = read_points_csv(args.input)
-    _check_svg(args, ps)
-    lv, table = cluster_pointset(ps, cfg)
-    with _removed_on_error([args.out, args.svg]):
+    with _outputs(args.input, ("out", args.out), ("svg", args.svg)):
+        cfg = ClusteringConfig(radius=args.radius)
+        ps = read_points_csv(args.input)
+        _check_svg(args, ps)
+        lv, table = cluster_pointset(ps, cfg)
         write_json(cluster_payload(cfg.radius, lv, table), args.out)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
@@ -204,8 +192,8 @@ def _parse_params(items: list[str]) -> dict:
 
 
 def _cmd_generate(args) -> None:
-    ps = generate(args.kind, _parse_params(args.param), args.seed)
-    with _removed_on_error([args.out]):
+    with _outputs(None, ("out", args.out)):
+        ps = generate(args.kind, _parse_params(args.param), args.seed)
         write_points_csv(ps, args.out)
 
 
@@ -216,22 +204,18 @@ def _cmd_trajectory(args) -> None:
     )
     frames = read_trajectory_csv(args.input)
     svg_files = frame_svg_paths(args.svg, len(frames)) if args.svg else []
-    _check_distinct_outputs(
-        ("input", args.input),
+    with _outputs(
+        args.input,
         ("out", args.out),
         ("events", events_path),
-        ("svg", args.svg),
         *(("svg", path) for path in svg_files),
-    )
-    if args.project == "equirect":
-        frames = project_equirect(frames)
-    _check_svg(args, frames[0].points)
-    results = cluster_frames(frames, cfg)
-    events = detect_events(results, frames)
-    with _removed_on_error(
-        [args.out, events_path, *svg_files],
-        _missing_dirs(args.svg) if args.svg else (),
+        svg_dir=args.svg,
     ):
+        if args.project == "equirect":
+            frames = project_equirect(frames)
+        _check_svg(args, frames[0].points)
+        results = cluster_frames(frames, cfg)
+        events = detect_events(results, frames)
         write_json(frames_payload(cfg.radius, frames, results), args.out)
         write_json(events_payload(events), events_path)
         if args.svg:
@@ -255,30 +239,30 @@ def _parse_bench_ns(raw: str) -> list[int]:
 
 
 def _cmd_bench(args) -> None:
-    rng = np.random.default_rng(args.seed)
-    records = []
-    for n in _parse_bench_ns(args.bench_n):
-        plan = make_power_plan(n)
-        record = {
-            "n": n,
-            "k": plan.k,
-            "m": plan.m,
-            "naive_mults": plan.naive_mults,
-            "fast_mults": plan.m,
-            "naive_executed": n <= NAIVE_BENCH_LIMIT,
-            "partitions_match": None,
-        }
-        if n <= NAIVE_BENCH_LIMIT:
-            # Random geometric instance with expected degree of a few neighbors.
-            ps = PointSet(rng.random((n, 2)))
-            adjacency = build_adjacency(ps, ClusteringConfig(radius=1.2 / np.sqrt(n)))
-            g_fast, _ = power_fast(adjacency)
-            g_naive = power_naive_oracle(adjacency)
-            record["partitions_match"] = bool(
-                mask_labels(g_fast) == mask_labels(g_naive)
-            )
-        records.append(record)
-    with _removed_on_error([args.out]):
+    with _outputs(None, ("out", args.out)):
+        rng = np.random.default_rng(args.seed)
+        records = []
+        for n in _parse_bench_ns(args.bench_n):
+            plan = make_power_plan(n)
+            record = {
+                "n": n,
+                "k": plan.k,
+                "m": plan.m,
+                "naive_mults": plan.naive_mults,
+                "fast_mults": plan.m,
+                "naive_executed": n <= NAIVE_BENCH_LIMIT,
+                "partitions_match": None,
+            }
+            if n <= NAIVE_BENCH_LIMIT:
+                # Random geometric instance with expected degree of a few neighbors.
+                ps = PointSet(rng.random((n, 2)))
+                adjacency = build_adjacency(ps, ClusteringConfig(radius=1.2 / np.sqrt(n)))
+                g_fast, _ = power_fast(adjacency)
+                g_naive = power_naive_oracle(adjacency)
+                record["partitions_match"] = bool(
+                    mask_labels(g_fast) == mask_labels(g_naive)
+                )
+            records.append(record)
         write_json(records, args.out)
 
 

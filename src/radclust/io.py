@@ -3,9 +3,11 @@
 Point CSV: header ``id,x,y[,z...]``, one row per node, at least one
 coordinate column.  Trajectory CSV: header ``t,id,x,y[,...]``, rows grouped
 by non-decreasing timestamp; every timestamp group must contain the same ids
-(``validate_frames``).  The trajectory writer refuses, before opening its
-file, frames whose timestamps, id sets or dimensions would not read back as
-written.
+(``validate_frames``).  The trajectory reader refuses a decreasing timestamp
+at its line, and a frame whose ids are not the first frame's by its
+timestamp, both naming the file.  The trajectory writer refuses, before
+opening its file, frames whose timestamps, id sets or dimensions would not
+read back as written.
 
 The id column is parsed as integers when every value in the file is an
 integer in canonical form (``7``, ``-3``; not ``07``, ``+7`` or ``-0``),
@@ -246,7 +248,8 @@ def write_points_csv(ps: PointSet, path: str) -> None:
 def read_trajectory_csv(path: str) -> list[Frame]:
     """Read a trajectory CSV into time-ordered frames.
 
-    Frames are the runs of rows with equal timestamps.
+    Frames are the runs of rows with equal timestamps; they must pass
+    :func:`validate_frames`, so every frame holds the first frame's ids.
     """
     raw_ids, block = _read_csv(path, ("t", "id"))
     ids = _parse_ids(raw_ids)
@@ -259,6 +262,10 @@ def read_trajectory_csv(path: str) -> list[Frame]:
             frames.append(Frame(t=t, points=PointSet(block[lo:hi, 1:], ids[lo:hi])))
         except ValueError as exc:
             raise ValueError(f"{path}: frame t={t}: {exc}") from None
+    try:
+        validate_frames(frames)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return frames
 
 

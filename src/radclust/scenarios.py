@@ -13,6 +13,7 @@ the same coordinates bit for bit on every platform.
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Any, Callable
 
@@ -201,8 +202,6 @@ _BUILDERS: dict[str, Callable[..., PointSet]] = {
     "uniform-random": uniform_random_points,
 }
 
-_STOCHASTIC_KINDS = frozenset({"blob", "dense-core-with-scatter", "uniform-random"})
-
 SCENARIO_KINDS = tuple(_BUILDERS)
 
 
@@ -211,7 +210,8 @@ def generate(
 ) -> PointSet:
     """Build the scenario ``kind`` from its builder's keyword ``params``.
 
-    ``seed`` reaches only the stochastic kinds; ``params`` may not hold it.
+    ``seed`` reaches only the builders that take one, the stochastic kinds;
+    ``params`` may not hold it.
     The same (kind, params, seed) triple always yields bit-identical
     coordinates.
     """
@@ -223,7 +223,7 @@ def generate(
     params = dict(params or {})
     if "seed" in params:
         raise ValueError(f"scenario {kind!r}: give the seed as the seed argument (--seed)")
-    if kind in _STOCHASTIC_KINDS and seed is not None:
+    if seed is not None and "seed" in inspect.signature(builder).parameters:
         params["seed"] = seed
     try:
         return builder(**params)

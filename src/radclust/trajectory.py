@@ -9,7 +9,7 @@ children splits; a child with two or more parents merges.  Geometry never
 enters event detection, only membership: links and event members are both
 read from one label matrix, each frame's labels in the first frame's id
 order.  :func:`validate_frames` alone holds the trajectory rules;
-:func:`detect_events` checks through it.
+:func:`detect_events` and the trajectory CSV reader check through it.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ class ClusterEvent:
     member_ids: tuple[NodeId, ...]
 
 
+def _id_key(node_id: NodeId) -> tuple[bool, NodeId]:
+    # Total over mixed int and str ids (ints first); natural order otherwise.
+    return isinstance(node_id, str), node_id
+
+
 def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
     """Check the trajectory rules and align every frame's rows to the first's.
 
@@ -84,8 +89,8 @@ def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
             continue
         pos = [index.get(node_id) for node_id in ids]
         if len(ids) != len(first) or None in pos:  # ids are unique per frame
-            missing = sorted(set(first) - set(ids), key=str)
-            extra = sorted(set(ids) - set(first), key=str)
+            missing = sorted(set(first) - set(ids), key=_id_key)
+            extra = sorted(set(ids) - set(first), key=_id_key)
             raise ValueError(
                 f"frame t={frame.t}: node ids do not match the first frame"
                 f" (missing {missing}, extra {extra})"
@@ -99,11 +104,6 @@ def cluster_frames(
 ) -> list[tuple[LabelVector, ClusterTable]]:
     """Cluster each frame independently; output order matches input order."""
     return [cluster_pointset(frame.points, cfg) for frame in frames]
-
-
-def _id_key(node_id: NodeId) -> tuple[bool, NodeId]:
-    # Total over mixed int and str ids (ints first); natural order otherwise.
-    return isinstance(node_id, str), node_id
 
 
 def detect_events(

@@ -172,6 +172,18 @@ def test_cluster_reports_csv_line_numbers(tmp_path, capsys):
     assert "line 3" in err and "oops" in err
 
 
+def test_cluster_malformed_input_keeps_an_existing_out_file(tmp_path, capsys):
+    inp = tmp_path / "bad.csv"
+    inp.write_text("id,x,y\n0,0.0,0.0\n1,oops,1.0\n")
+    out = tmp_path / "labels.json"
+    out.write_bytes(b"old labels\n")
+    code = main(["cluster", "--input", str(inp), "--radius", "1", "--out", str(out)])
+    assert code == 1
+    assert "line 3" in capsys.readouterr().err
+    assert out.read_bytes() == b"old labels\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "labels.json"]
+
+
 def test_cluster_field_over_the_csv_size_limit_exits_one(tmp_path, capsys):
     inp = tmp_path / "big.csv"
     inp.write_text(f"id,x,y\n0,0.0,0.0\n{'a' * (csv.field_size_limit() + 1)},1.0,1.0\n")
@@ -700,6 +712,50 @@ def test_trajectory_rejects_inconsistent_ids(tmp_path, capsys):
     assert code == 1
     assert "t=1.0" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+def test_trajectory_refuses_changed_id_sets_before_clustering(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("cluster_frames ran")
+
+    monkeypatch.setattr("radclust.cli.cluster_frames", never)
+    inp = tmp_path / "bad.csv"
+    inp.write_text("t,id,x,y\n0,a,0,0\n0,b,1,0\n1,a,0,0\n1,c,5,0\n")
+    code = main(
+        ["trajectory", "--input", str(inp), "--radius", "2", "--out", str(tmp_path / "f.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {inp}: frame t=1.0: node ids do not match the first frame"
+        " (missing ['b'], extra ['c'])\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
+def test_trajectory_out_of_memory_keeps_existing_outputs(
+    tmp_path, monkeypatch, capsys, motorcade_csv
+):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("radclust.cli.cluster_frames", exhausted)
+    out = tmp_path / "frames.json"
+    out.write_bytes(b"old frames\n")
+    svg_dir = tmp_path / "plots"
+    svg_dir.mkdir()
+    (svg_dir / "keep.txt").write_text("mine")
+    code = main(
+        [
+            "trajectory", "--input", motorcade_csv, "--radius", "15",
+            "--out", str(out), "--svg", str(svg_dir),
+        ]
+    )
+    assert code == 1
+    assert "out of memory" in capsys.readouterr().err
+    assert out.read_bytes() == b"old frames\n"
+    assert [p.name for p in svg_dir.iterdir()] == ["keep.txt"]
+    assert (svg_dir / "keep.txt").read_text() == "mine"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.json", "motorcade.csv", "plots"]
 
 
 def test_trajectory_rejects_coordinates_outside_safe_range(tmp_path, capsys):

@@ -449,6 +449,17 @@ def test_trajectory_csv_rejects_inconsistent_frame_ids(tmp_path):
         read_trajectory_csv(str(path))
 
 
+def test_trajectory_csv_rejects_a_frame_with_other_ids(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,id,x,y\n0,a,0,0\n0,b,1,0\n1,a,0,0\n1,c,5,0\n")
+    with pytest.raises(ValueError) as err:
+        read_trajectory_csv(str(path))
+    assert str(err.value) == (
+        f"{path}: frame t=1.0: node ids do not match the first frame"
+        " (missing ['b'], extra ['c'])"
+    )
+
+
 def test_trajectory_csv_bad_header(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("id,t,x\n0,0,0.0\n")

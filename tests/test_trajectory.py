@@ -84,6 +84,15 @@ def test_validate_rejects_changing_id_sets():
     assert "t=3.0" in msg and "1" in msg and "2" in msg
 
 
+def test_validate_lists_missing_and_extra_ids_in_id_order():
+    frames = [
+        _frame(0, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ids=[2, 10, 3]),
+        _frame(1, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ids=[3, 11, 12]),
+    ]
+    with pytest.raises(ValueError, match=r"\(missing \[2, 10\], extra \[11, 12\]\)$"):
+        validate_frames(frames)
+
+
 def test_equal_timestamps_are_allowed():
     frames = [_frame(1, [[0.0, 0.0]]), _frame(1, [[5.0, 0.0]])]
     validate_frames(frames)  # must not raise
