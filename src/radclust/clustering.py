@@ -7,10 +7,8 @@ Vishkin 1982) on a forest of parent pointers, in rounds.  At the start of a
 round every tree is a star: each node points at its tree's root, the lowest
 index in the tree.  One pass over the matrix rows gives each node the lowest
 root among its neighbours, and each root whose star sees a lower root hooks
-onto the lowest one it sees.  Hooks only go to lower roots, so no cycle can
-form.  Pointer jumping then turns every tree back into a star.  A round
-with no hook ends the loop; every component is then one star rooted at its
-lowest index.
+onto the lowest one it sees.  Pointer jumping then turns every tree back
+into a star.  A round with no hook ends the loop.
 
 Round bound: a star that still has a neighbour outside it either sees a
 lower root and hooks, or sees only higher roots.  In the second case each
@@ -23,9 +21,15 @@ count at least halves.  Starting from n one-node stars, at most
 ``2 floor(log2 n) + 1`` rounds in all.  Each round reads the ``n x n``
 matrix once, as one masked row minimum over a broadcast view of the roots,
 so the step costs ``O(n**2 log n)`` time in the worst case and holds no
-temporary larger than a few length-n vectors.  The view is made once:
-hooking and pointer jumping write the roots in place, so it always reads
-the current ones.
+temporary larger than a few length-n vectors.
+
+Labels need no full jumping; only the round bound, which needs stars at the
+start of each round, does.  A hook or a jump moves a pointer only lower in
+its component, so ``parent[x] <= x``.  A round with no hook leaves every
+edge joining equal parents, so each component points at its lowest index.
+Without a jump a round can hook nothing new and repeat forever; with one,
+each round that hooks lowers a pointer.  Full jumping cuts rounds: 8 against
+11, and 11 against 15 ms on 2 cores, on seed-3 ``cluster-chain``.
 
 Label numbers are dense, starting at 1, in order of each cluster's
 lowest-index node.  A root is its component's lowest index, so root ``r``'s
@@ -134,7 +138,7 @@ def _component_roots(bits: np.ndarray) -> tuple[np.ndarray, int]:
     """
     n = bits.shape[0]
     roots = np.arange(n)
-    # Every row of the view reads ``roots``, which is only updated in place.
+    # Made once: every row reads ``roots``, which is only updated in place.
     view = np.broadcast_to(roots, bits.shape)
     rounds = 0
     while True:

@@ -23,23 +23,22 @@ coordinates outside the range, and ``ClusteringConfig`` such a radius, with
 
 The distance predicate is applied only to candidate pairs from a uniform
 grid, the cell index of DBSCAN (Ester et al., KDD 1996) and of grid DBSCAN
-(Gunawan 2013).  Points are hashed into cells of side
-``s = r * (1 + 2**-40)`` over at most the first three axes: the cell of a
-coordinate ``x`` on one axis is ``floor(x / s)`` in float64.  A pair is a
-candidate when its cells are equal or neighbours (floors at most 1 apart) on
-every grid axis.  Dropping the axes past the third only adds candidates, as
-the distance over some axes never exceeds the full distance, so one code
-path serves every d with at most 14 cell offsets (13 neighbours, one per
-unordered pair of directions, and the cell itself).  Two facts make the
-candidates a superset of the edges:
+(Gunawan 2013).  Points are hashed into cells of side exactly ``s = r`` over
+at most the first three axes: the cell of a coordinate ``x`` on one axis is
+``floor(x / s)`` in float64.  A pair is a candidate when its cells are equal
+or neighbours (floors at most 1 apart) on every grid axis.  Dropping the
+axes past the third only adds candidates, as the distance over some axes
+never exceeds the full distance, so one code path serves every d with at
+most 14 cell offsets (13 neighbours, one per unordered pair of directions,
+and the cell itself).  Two facts make the candidates a superset of the
+edges:
 
-1. A computed distance below ``r`` puts every exact axis difference
-   ``|x - y|`` below ``r * (1 + 3 * 2**-53)``: a floating-point sum of
-   non-negative terms is never smaller than any one of them, so the computed
-   distance is at least ``|x - y|`` after one subtraction, one squaring and
-   one square root, each off by a relative ``2**-53`` at most.  (Squares in
-   the subnormal range only arise from differences far below ``r``.)  The
-   rounded ``s`` is at least ``r * (1 + 2**-40) * (1 - 2**-53)``, larger.
+1. A computed distance below ``r`` puts every exact axis difference below
+   ``r``.  With ``e = fl(x - y)``, it is at least ``RN(sqrt(RN(e * e)))``,
+   as rounding, non-negative sums and the square root are monotone; that is
+   ``|e|`` in binary64 (Boldo, "Stupid is as stupid does", ENTCS 317, 2015)
+   unless ``e * e < 2**-1022``, which needs ``|e| < 2**-511 < r``.  As ``r``
+   is a float, monotone rounding turns ``|e| < r`` into ``|x - y| < r``.
 2. Floats ``x < y`` whose cells are two or more apart are at least ``s``
    apart, whatever the rounding of ``x / s``.  Take an integer ``K`` with
    ``fl(x / s) < K`` and ``K + 1 <= fl(y / s)``, both representable (one
@@ -52,20 +51,18 @@ candidates a superset of the edges:
    ``[s * (1 - 2**-54), s)``, so ``y >= s``; and no float lies in
    ``(2**q * s * (1 - 2**-53), 2**q * s)``, so ``x / s <= K - g(K + 1) / 2``.
 
-So the margin ``2**-40`` need only cover fact 1; the rounding of
-``x / s`` costs nothing.  Across the safe range the floors reach ``2**1000``
-in magnitude, past any integer type, so each axis's distinct floors are
-numbered in order, and two cells are neighbours on that axis when their
-floors differ by exactly 1.  That float test is exact: the difference of two
-integer-valued floats is exact or far above 1.  One stable sort of the
-``(N, m)`` floor block orders every grid axis at once; along each axis the
-number starts at 1 and steps by 0 between equal sorted floors, by 1 between
-neighbours and by 2 between floors further apart, so the running sum of the
-steps numbers the cells.  Numbers thus skip one value between floors that
-are not neighbours, so neighbours are one apart, and the numbers of all
-grid axes form one mixed-radix int64 cell key below ``(2 * N + 1)**3``.
-That fits for ``N < 2**20``; a larger ``N`` needs 1 TiB for the adjacency
-matrix, which the memory guard refuses first on smaller machines.
+At ``s = r``, an edge's cells are thus at most 1 apart on every grid axis.
+Across the safe range the floors reach ``2**1000`` in magnitude, past any
+integer type, so one stable sort of the ``(N, m)`` floor block numbers each
+axis's distinct floors in order: the number starts at 1 and steps by 0
+between equal sorted floors, by 1 between neighbours (floors exactly 1
+apart, an exact float test, as the difference of two integer-valued floats
+is exact or far above 1) and by 2 between floors further apart.  So
+neighbours are one number apart and other cells at least two, and the
+numbers of all grid axes form one mixed-radix int64 cell key below the
+product of the axes' sizes, at most ``(2 * N + 1)**3``.  A product past
+``2**63 - 1`` is a ``ValueError``; it takes ``N >= 2**20``, whose adjacency
+matrix (1 TiB) the memory guard refuses first on smaller machines.
 
 Neighbouring cell pairs come from one ``searchsorted`` per offset on the
 sorted cell keys.  Each cell pair contributes every point pair of its two
@@ -79,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -105,9 +103,6 @@ _SAFE_RANGE = f"[2**-500, 2**500] ({SCALE_MIN:.3g} to {SCALE_MAX:.3g})"
 # Candidate pairs per adjacency batch: 512 KiB per int64 or float64
 # temporary, small enough to stay in cache.
 _CHUNK_ELEMENTS = 2**16
-
-# Grid cell side over r (module docstring).
-_CELL_MARGIN = 1.0 + 2.0**-40
 
 # For m grid axes, the cell offsets in {-1, 0, 1}**m that are zero or
 # lexicographically positive: one of each opposite pair, and the cell itself.
@@ -263,7 +258,7 @@ def _cell_keys(coords: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]
     Along each axis the distinct floors ``floor(x / side)`` are numbered in
     order from 1, skipping one number between floors that are not
     neighbours (module docstring); the last axis varies fastest in the key.
-    Its temporaries end with the call.
+    A key past int64 is a ``ValueError``; temporaries end with the call.
     """
     n, m = coords.shape
     floors = np.floor(coords / side)
@@ -278,12 +273,13 @@ def _cell_keys(coords: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]
     step[0] = 1
     np.add(gap != 0.0, gap > 1.0, out=step[1:], dtype=np.int64)
     slots = step.cumsum(axis=0)
+    # Axis k holds numbers 0..size-1, size = its last number + 2.
+    sizes = [int(last) + 2 for last in slots[-1]]
+    if math.prod(sizes) > 2**63 - 1:
+        raise ValueError(f"{n} points span {sizes} grid cells, too many for int64 cell keys")
     slot = np.empty_like(slots)
     slot[by_floor, axes] = slots
-    # Axis k holds numbers 0..size-1, size = its last number + 2.
-    stride = np.ones(m, dtype=np.int64)
-    for axis in range(m - 1, 0, -1):
-        stride[axis - 1] = stride[axis] * (slots[-1, axis] + 2)
+    stride = np.array([math.prod(sizes[k + 1 :]) for k in range(m)], dtype=np.int64)
     return slot @ stride, stride
 
 
@@ -370,7 +366,7 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
             f"more than the {have} bytes of memory available"
         )
     bits = np.zeros((n, n), dtype=bool)
-    pairs = _CellPairs(coords, cfg.radius * _CELL_MARGIN)
+    pairs = _CellPairs(coords, cfg.radius)
     for lo in range(0, pairs.total, _CHUNK_ELEMENTS):
         # Passed straight on, not bound to a name, each batch is freed as
         # soon as it is tested.

@@ -113,11 +113,11 @@ def test_adjacency_candidate_batches_split_cell_pairs(monkeypatch):
     # of 9, 16 and 12 candidates, 37 in all.  Budgets cut inside a cell
     # pair, on its edges and past the end.
     coords = np.array([[-0.1, 0.0]] * 3 + [[0.1, 0.0]] * 4)
-    side = 1.0 * geometry._CELL_MARGIN
+    radius = 1.0
     expected = np.ones((7, 7), dtype=bool)
     for budget in [1, 5, 8, 9, 10, 12, 25, 36, 37, 38, 2**16]:
         monkeypatch.setattr(geometry, "_CHUNK_ELEMENTS", budget)
-        cell_pairs = geometry._CellPairs(coords, side)
+        cell_pairs = geometry._CellPairs(coords, radius)
         sizes, pairs = [], set()
         for lo in range(0, cell_pairs.total, budget):
             i, j = cell_pairs.batch(lo, lo + budget)
@@ -128,7 +128,7 @@ def test_adjacency_candidate_batches_split_cell_pairs(monkeypatch):
         assert {frozenset(p) for p in pairs} == {
             frozenset((i, j)) for i in range(7) for j in range(7)
         }
-        got = build_adjacency(PointSet(coords), ClusteringConfig(1.0)).bits
+        got = build_adjacency(PointSet(coords), ClusteringConfig(radius)).bits
         assert np.array_equal(got, expected)
 
 
@@ -166,10 +166,10 @@ EDGE_RADII = [1.0, 0.7, 1.3, 2.0**-300 * 1.9, 2.0**300 * 1.1, float(np.nextafter
 
 @pytest.mark.parametrize("k", EDGE_CELLS)
 def test_cells_two_apart_hold_points_a_side_apart(k):
-    # The grid's margin argument: floats x < y with a whole cell between
+    # Fact 2 of the grid argument: floats x < y with a whole cell between
     # theirs differ by at least the side, however x / side rounds.
     for radius in EDGE_RADII:
-        side = radius * geometry._CELL_MARGIN
+        side = radius
         x = last_in_cells_below(k, side)
         y = np.nextafter(last_in_cells_below(k + 1, side), np.inf)
         assert np.floor(y / side) - np.floor(x / side) >= 2
@@ -186,7 +186,7 @@ def check_one_ulp_across_a_cell_edge(k, radius):
     # x is the last float before the edge of cell k; y sits at distance r
     # from it and one ulp either side, inside cell k.  The pairs are laid on
     # the first axis, on the diagonal of the first two and off the axis.
-    side = radius * geometry._CELL_MARGIN
+    side = radius
     x = last_in_cells_below(k, side)
     # The first float y above x with y - x not below r, by bisection.
     lo, hi = float_order(x), float_order(x + 2 * radius)
@@ -204,6 +204,29 @@ def check_one_ulp_across_a_cell_edge(k, radius):
         assert np.array_equal(got, unchunked_adjacency(coords, radius))
         if coords is line:
             assert got[0].tolist() == [True, True, False, False]
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0**-300, 2.0**300])
+def test_adjacency_one_ulp_inside_r_across_two_edges_of_a_narrower_cell(r):
+    # Cells of side exactly r hold every edge, and no narrower side does.
+    # y - xs[0] is one ulp below r: an edge.  Under side r * (1 - 2**-52)
+    # xs[0] lies just below the edge of cell 1 and y on that of cell 2, two
+    # cells apart, so that grid would miss it.  y - xs[1] is exactly r and
+    # y - xs[2] one ulp above it: no edges.
+    u = r * 2.0**-53  # the float spacing just below r
+    xs, y = [r - 3 * u, r - 4 * u, r - 6 * u], 2 * r - 4 * u
+    assert [y - x for x in xs] == [np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)]
+    narrow = r * (1 - 2.0**-52)
+    assert np.floor(y / narrow) - np.floor(xs[0] / narrow) == 2
+    assert np.floor(y / r) - np.floor(xs[0] / r) == 1
+    expected = np.ones((4, 4), dtype=bool)
+    expected[1:3, 3] = expected[3, 1:3] = False
+    for d in [1, 2, 3]:  # on the last grid axis
+        coords = np.zeros((4, d))
+        coords[:, -1] = [*xs, y]
+        got = build_adjacency(PointSet(coords), ClusteringConfig(r)).bits
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, unchunked_adjacency(coords, r))
 
 
 @pytest.mark.parametrize("d", [1, 4, 5])
@@ -621,6 +644,7 @@ def _json_values(depth):
 @example(obj=[[], [[1]]])
 @example(obj=[{}, {"a": [{}]}, {"a": []}])
 @example(obj={"a": [[], [{"b": 1}, {}]], "c": [{"b": 2}, {"b": [3]}]})
+@example(obj={"é": ["é☃\U0001f600", "\ud800"]})  # escaped to ASCII, as json.dumps does
 def test_write_json_matches_json_dumps_indent_2_property(tmp_path_factory, obj):
     path = tmp_path_factory.getbasetemp() / "writer.json"
     write_json(obj, str(path))

@@ -320,3 +320,26 @@ def test_cell_pairs_match_the_reference_grid_numbering(case):
     want = grid_candidate_counts(coords, side)
     assert pairs.total == want.sum() // 2
     assert np.array_equal(seen + seen.T, want)
+
+
+def _diagonal(n):
+    """``n`` 3-d points on the diagonal, 2 apart on every axis.
+
+    At side 1 each axis numbers its ``n`` cells 1, 3, ..., 2n - 1, which
+    spans ``2n + 1`` numbers with the offsets: ``(2n + 1)**3`` keys.
+    """
+    return np.repeat(np.arange(n, dtype=np.float64)[:, None] * 2.0, 3, axis=1)
+
+
+def test_cell_keys_fit_int64_below_2_to_the_20_diagonal_points():
+    n = 2**20 - 1
+    key, stride = geometry._cell_keys(_diagonal(n), 1.0)
+    assert stride.tolist() == [(2 * n + 1) ** 2, 2 * n + 1, 1]
+    assert int(key[-1]) == (2 * n - 1) * sum(stride.tolist()) < 2**63
+    assert (key[1:] > key[:-1]).all()
+
+
+def test_cell_keys_refuse_a_grid_past_int64():
+    # (2**21 + 1)**3 keys: slot @ stride would wrap around silently.
+    with pytest.raises(ValueError, match="too many for int64 cell keys"):
+        geometry._cell_keys(_diagonal(2**20), 1.0)

@@ -510,6 +510,15 @@ def test_equirect_projection_keeps_a_pair_across_the_antimeridian_together():
     assert lv.n_clusters == 1
 
 
+def test_equirect_keeps_longitudes_exactly_180_degrees_away():
+    # 180 degrees east or west of the reference (the first frame's first
+    # point) is not more than 180 away: neither is shifted.
+    frame = Frame(t=0.0, points=PointSet([(0.0, 10.0), (0.0, 190.0), (0.0, -170.0)]))
+    (projected,) = project_equirect([frame])
+    half_turn = EARTH_RADIUS_M * math.pi
+    assert projected.points.coords[:, 0].tolist() == pytest.approx([0.0, half_turn, -half_turn])
+
+
 def test_equirect_refuses_a_latitude_outside_the_poles():
     frames = [
         Frame(t=0.0, points=PointSet([(89.0, 0.0), (-90.0, 0.0)], ids=["a", "b"])),

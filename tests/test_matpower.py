@@ -81,6 +81,13 @@ def test_all_ones_is_absorbing():
     assert bool_multiply(ones, ones) == ones
 
 
+def test_bool_multiply_counts_past_a_narrow_integer():
+    # Every entry of the square sums 256 ones: exact in float32, which holds
+    # integers to 2**24, but 0 in an 8-bit integer product.
+    ones = BinaryMatrix(np.ones((256, 256), dtype=bool))
+    assert bool_multiply(ones, ones) == ones
+
+
 def test_multiply_rejects_size_mismatch():
     with pytest.raises(ValueError):
         bool_multiply(
