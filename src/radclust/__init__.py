@@ -15,7 +15,7 @@ defines it and lists it in ``__all__``, e.g.
 * ``geometry``   the ``PointSet`` container, radius-graph adjacency matrix
 * ``clustering`` component labels, size-ranked tables
 * ``matpower``   the paper's reference: boolean powers by repeated squaring,
-  mask labels, components oracle; only ``cli`` imports it
+  mask labels, components oracle; only ``cli`` imports it, inside ``bench``
 * ``scenarios``  deterministic synthetic scene generators
 * ``trajectory`` per-frame clustering and split/merge events
 * ``svgplot``    deterministic SVG scatter plots

@@ -7,7 +7,7 @@ Four commands:
 * ``trajectory`` cluster a trajectory CSV per frame, write frames and events
   JSON, optionally per-frame SVGs.
 * ``bench``      compare multiplication counts of the sequential and
-  repeated-squaring power methods over a list of sizes.
+  repeated-squaring power methods over a list of sizes; only it loads ``matpower``.
 
 Exit codes: 0 success, 1 input error (an input too large for memory
 included), 2 internal invariant violation.  Every error path prints a single
@@ -38,7 +38,6 @@ from .io import (
     write_json,
     write_points_csv,
 )
-from .matpower import make_power_plan, mask_labels, power_fast, power_naive_oracle
 from .scenarios import SCENARIO_KINDS, generate
 from .svgplot import frame_svg_paths, render_frames_svg, render_points_svg
 from .trajectory import cluster_frames, detect_events
@@ -239,6 +238,7 @@ def _parse_bench_ns(raw: str) -> list[int]:
 
 
 def _cmd_bench(args) -> None:
+    from .matpower import make_power_plan, mask_labels, power_fast, power_naive_oracle
     with _outputs(None, ("out", args.out)):
         rng = np.random.default_rng(args.seed)
         records = []

@@ -7,8 +7,8 @@ when they share at least one node, so the links are the distinct (frame
 pair, parent, child) triples of the nodes.  A parent with two or more
 children splits; a child with two or more parents merges.  Geometry never
 enters event detection, only membership: links and event members are both
-read from one label matrix, each frame's labels in the first frame's id
-order.  :func:`validate_frames` alone holds the trajectory rules;
+read from one label matrix, its columns in id order (ints before strs).
+:func:`validate_frames` alone holds the trajectory rules and the id order;
 :func:`detect_events` and the trajectory CSV reader check through it.
 """
 
@@ -66,11 +66,13 @@ def _id_key(node_id: NodeId) -> tuple[bool, NodeId]:
 
 
 def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
-    """Check the trajectory rules and align every frame's rows to the first's.
+    """Check the trajectory rules and number every frame's rows in id order.
 
     A trajectory has at least one frame, finite non-decreasing timestamps and
-    one id set.  Returns, per frame, each row's id's position among the first
-    frame's ids.  ``ValueError`` names the first frame that breaks a rule.
+    one id set.  Returns, per frame, each row's position among the first
+    frame's ids in id order (ints before strs); frames whose ids equal the
+    first frame's share one read-only array.  ``ValueError`` names the first
+    frame that breaks a rule.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
@@ -80,12 +82,14 @@ def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
         if prev is not None and frame.t < prev.t:
             raise ValueError(f"frame t={frame.t}: timestamps must be non-decreasing")
     first = frames[0].points.ids
-    index = {node_id: k for k, node_id in enumerate(first)}
+    index = {node_id: k for k, node_id in enumerate(sorted(first, key=_id_key))}
+    same = np.array([index[node_id] for node_id in first], dtype=np.intp)
+    same.flags.writeable = False
     positions = []
     for frame in frames:
         ids = frame.points.ids
         if ids == first:  # the usual case: rows in the first frame's order
-            positions.append(np.arange(len(ids), dtype=np.intp))
+            positions.append(same)
             continue
         pos = [index.get(node_id) for node_id in ids]
         if len(ids) != len(first) or None in pos:  # ids are unique per frame
@@ -113,25 +117,22 @@ def detect_events(
     """Find splits and merges between each pair of consecutive frames.
 
     The links (module docstring) and each event's members come from one
-    F x n label matrix in the first frame's id order, which
-    :func:`validate_frames` gives.  Events go by frame, splits before merges,
-    then lowest member id, ints before strs.  ``ValueError`` names a frame
-    that breaks a trajectory rule or whose label count is not its point count.
+    F x n label matrix, its columns the ids in :func:`validate_frames`'s id
+    order.  Events go by frame, splits before merges, then lowest member id.
+    ``ValueError`` names a frame that breaks a trajectory rule or whose label
+    count is not its point count.
     """
     if len(results) != len(frames):
         raise ValueError("results and frames must have equal length")
     positions = validate_frames(frames)
-    aligned = np.empty((len(frames), len(frames[0].points)), dtype=np.int64)
-    for f, pos in enumerate(positions):
-        labels = results[f][0].labels
-        if labels.size != pos.size:
-            raise ValueError(
-                f"frame t={frames[f].t}: {labels.size} labels for {pos.size} points"
-            )
-        aligned[f, pos] = labels
+    for frame, (lv, _), pos in zip(frames, results, positions):
+        if lv.labels.size != pos.size:
+            raise ValueError(f"frame t={frame.t}: {lv.labels.size} labels for {pos.size} points")
+    aligned = np.empty((len(frames), positions[0].size), dtype=np.int64)
+    aligned[np.arange(len(frames))[:, None], positions] = [lv.labels for lv, _ in results]
+    ids = np.array(frames[0].points.ids, dtype=object)[np.argsort(positions[0])]
     base = int(aligned.max()) + 1
     pair = np.arange(len(frames) - 1)[:, None]
-    ids = frames[0].points.ids
     found = []
     for kind, group, partner in (
         ("split", aligned[:-1], aligned[1:]),
@@ -144,13 +145,12 @@ def detect_events(
         keep = count >= 2
         for head, lo, hi in zip(heads[keep], first[keep], (first + count)[keep]):
             f, label = divmod(int(head), base)
-            rows = np.flatnonzero(group[f] == label).tolist()
+            cols = (group[f] == label).nonzero()[0]
             partners = tuple(partner[lo:hi].tolist())
             links = ((label,), partners) if kind == "split" else (partners, (label,))
-            members = tuple(sorted((ids[i] for i in rows), key=_id_key))
-            found.append((f, ClusterEvent(frames[f + 1].t, kind, *links, members)))
-    found.sort(key=lambda fe: (fe[0], fe[1].kind != "split", _id_key(fe[1].member_ids[0])))
-    return [event for _, event in found]
+            event = ClusterEvent(frames[f + 1].t, kind, *links, tuple(ids[cols].tolist()))
+            found.append((f, kind != "split", cols[0], event))
+    return [e[3] for e in sorted(found, key=lambda e: e[:3])]
 
 
 # Radius the synthetic motorcade is designed for, in meters.

@@ -47,7 +47,7 @@ def test_package_namespace_holds_no_function_or_class():
 
 def test_library_modules_leave_the_reference_unloaded():
     # The paper's power method in ``matpower`` is a reference: of the
-    # package's modules only ``cli`` (for ``bench``) imports it.  A fresh
+    # package's modules only ``cli`` imports it, inside ``bench``.  A fresh
     # interpreter shows what the library modules load on their own.
     library = ("geometry", "clustering", "trajectory", "io", "svgplot", "scenarios")
     code = "; ".join(
@@ -67,7 +67,8 @@ def test_library_modules_leave_the_reference_unloaded():
 def test_runs_leave_numpy_ma_unloaded(tmp_path, command):
     # numpy 2.x loads ``numpy.ma`` on first use, and a plain ``np.unique``
     # uses it (``np.ma.is_masked``): 11-17 ms that no run needs.  numpy 1.x
-    # loads it with numpy itself, so only a load by the run counts.
+    # loads it with numpy itself, so only a load by the run counts.  Nor
+    # does a run other than ``bench`` load the reference in ``matpower``.
     inp, out = str(tmp_path / "in.csv"), str(tmp_path / "out.json")
     if command == "cluster":
         write_points_csv(blob_points(40, 1.0, 0.3, seed=2), inp)
@@ -79,11 +80,12 @@ def test_runs_leave_numpy_ma_unloaded(tmp_path, command):
         argv += ["--events", str(tmp_path / "events.json")]
     code = (
         "import sys, numpy; before = 'numpy.ma' in sys.modules; from radclust import cli; "
-        f"status = cli.main({argv!r}); print(status, 'numpy.ma' in sys.modules and not before)"
+        f"status = cli.main({argv!r}); print(status, 'numpy.ma' in sys.modules and not before,"
+        " 'radclust.matpower' in sys.modules)"
     )
     src = os.path.dirname(os.path.dirname(radclust.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "0 False\n"
+    assert result.stdout == "0 False False\n"

@@ -106,6 +106,19 @@ def test_validate_returns_each_rows_position_among_the_first_frames_ids():
     first, shuffled = validate_frames(frames)
     assert first.tolist() == [0, 1, 2]
     assert shuffled.tolist() == [2, 0, 1]
+    # Positions count in id order (ints first, 2 before 10), not in the
+    # first frame's row order; frames with the first frame's ids share one
+    # read-only array.
+    rows = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+    frames = [
+        _frame(0, rows, ids=["b", 10, "a", 2]),
+        _frame(1, rows, ids=[2, "a", 10, "b"]),
+        _frame(2, rows, ids=["b", 10, "a", 2]),
+    ]
+    first, moved, again = validate_frames(frames)
+    assert first.tolist() == [3, 1, 2, 0]
+    assert moved.tolist() == [0, 2, 1, 3]
+    assert again is first and not first.flags.writeable
 
 
 def test_cluster_frames_clusters_frames_whose_id_sets_differ():

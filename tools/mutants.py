@@ -211,6 +211,23 @@ MUTANTS = (
         ("tests/test_trajectory.py::test_simple_split_then_merge",
          "tests/test_acceptance.py::test_criterion_7_trajectory_events"),
     ),
+    # The label matrix's columns, and so event members, go in id order.
+    Mutant(
+        "frames-in-id-order",
+        "src/radclust/trajectory.py",
+        "enumerate(sorted(first, key=_id_key))",
+        "enumerate(first)",
+        (DIFF + "test_events_match_brute_force_property",),
+    ),
+    # Events go by frame, splits before merges, then lowest member id.
+    Mutant(
+        "events-by-first-member",
+        "src/radclust/trajectory.py",
+        "e[:3]",
+        "e[:2]",
+        (DIFF + "test_events_match_brute_force_property",
+         "tests/test_trajectory.py::test_events_sort_ids_that_mix_int_and_str"),
+    ),
     # write_json's bytes are json.dumps(indent=2)'s, non-ASCII escaped.
     Mutant(
         "json-ascii",
