@@ -40,6 +40,8 @@ writes takes that path.  Any other goes whole to ``json.dumps``: one with a
 value of another type (a subclass, a numpy scalar), a key that is not a
 ``str``, an empty dict or a reference cycle, or whose values encoded side
 by side mix kinds other than scalars, or are dicts in different key orders.
+Each is refused with json's own ``TypeError`` (``RecursionError`` for a
+cycle), which calling the C encoder also raises where json has none.
 """
 
 from __future__ import annotations
@@ -396,14 +398,6 @@ def events_payload(events: Sequence[ClusterEvent]) -> list[dict]:
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
-class _NotPlain(Exception):
-    """The document holds a value that :func:`write_json` leaves to ``json.dumps``."""
-
-
-def _not_plain(value):
-    raise _NotPlain
-
-
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(level: int):
     """The C encoder for scalar-only containers whose items sit at ``level``.
@@ -413,7 +407,7 @@ def _flat_encoder(level: int):
     brackets need their line breaks added.
     """
     return c_make_encoder(
-        None, _not_plain, encode_basestring_ascii, None,
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
         ": ", ",\n" + "  " * level, False, False, True,
     )
 
@@ -429,19 +423,19 @@ def _texts(values: list, level: int) -> list[str]:
     Dicts with one order of ``str`` keys are encoded a key at a time, each
     key's values as one list.  Python recursion walks only the nesting,
     never the items.  Containers of mixed kinds, dicts whose keys differ in
-    order or type, and ``{}`` raise :class:`_NotPlain`.
+    order or type, and ``{}`` raise ``TypeError``.
     """
     kinds = set(map(type, values))
     if _SCALAR_TYPES.issuperset(kinds):
         return "".join(_flat_encoder(0)(values, 0))[1:-1].split(",\n")
     if len(kinds) > 1:
-        raise _NotPlain
+        raise TypeError
     kind = kinds.pop()
     inner = "\n" + "  " * (level + 1)
     outer = inner[:-2]
     if kind is dict:
         if len(set(map(tuple, values))) > 1 or set(map(type, values[0])) != {str}:
-            raise _NotPlain  # {} included
+            raise TypeError  # {} included
         pieces = []
         for key in values[0]:
             head = ("," if pieces else "{") + inner + encode_basestring_ascii(key) + ": "
@@ -449,7 +443,7 @@ def _texts(values: list, level: int) -> list[str]:
             pieces += [itertools.repeat(head), column]
         return list(map("".join, zip(*pieces, itertools.repeat(outer + "}"))))
     if kind is not list and kind is not tuple:
-        raise _NotPlain
+        raise TypeError
     items = list(itertools.chain.from_iterable(values))
     if not _SCALAR_TYPES.issuperset(map(type, items)):
         texts = iter(_texts(items, level + 1))
@@ -469,10 +463,8 @@ def _texts(values: list, level: int) -> list[str]:
 def write_json(obj, path: str) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline, byte for byte (module docstring)."""
     try:
-        if c_make_encoder is None:
-            raise _NotPlain
         text = _texts([obj], 0)[0]
-    except (_NotPlain, RecursionError):  # RecursionError: a reference cycle
+    except (TypeError, RecursionError):  # json's refusal, or a reference cycle
         text = json.dumps(obj, indent=2)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

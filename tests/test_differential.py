@@ -500,6 +500,23 @@ def test_component_labels_on_adversarial_orders(name, n):
         assert lv == connected_components_oracle(BinaryMatrix(bits))
 
 
+def test_component_labels_on_every_graph_up_to_five_nodes():
+    # Every labelled graph on 1-5 nodes: 1 + 2 + 8 + 64 + 1024 = 1,099 edge sets.
+    seen = 0
+    for n in range(1, 6):
+        upper = np.triu_indices(n, 1)
+        for edges in range(2 ** len(upper[0])):
+            bits = np.eye(n, dtype=bool)
+            bits[upper] = (edges >> np.arange(len(upper[0]))) & 1
+            bits |= bits.T
+            _, rounds = clustering._component_roots(bits)
+            assert rounds <= 2 * n.bit_length() - 1  # 2 floor(log2 n) + 1
+            g = BinaryMatrix(bits)
+            assert cluster_labels(g) == connected_components_oracle(g)
+            seen += 1
+    assert seen == 1099
+
+
 def traced_peak(label, a):
     """``label(a)`` and the peak of the memory it allocates, in bytes.
 

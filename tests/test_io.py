@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radclust.io
 from radclust.cli import main
 from radclust.clustering import build_cluster_table, cluster_pointset
 from radclust.geometry import ClusteringConfig, PointSet
@@ -641,6 +642,35 @@ def test_write_json_writes_the_documents_radclust_writes_without_json_dumps(tmp_
     assert main(["bench", "--bench-n", "2,7,10,64,100", "--out", str(bench)]) == 0
     monkeypatch.undo()
     assert bench.read_bytes() == (json.dumps(json.loads(bench.read_bytes()), indent=2) + "\n").encode()
+
+
+def test_write_json_without_the_c_encoder_writes_json_dumps_bytes(tmp_path, monkeypatch):
+    # As on an interpreter whose json module has no C encoder.
+    ps = PointSet([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]], ids=["a", "b", "c"])
+    lv, table = cluster_pointset(ps, ClusteringConfig(radius=1.5))
+    frames = synthetic_motorcade()
+    results = cluster_frames(frames, ClusteringConfig(radius=15.0))
+    events = detect_events(results, frames)
+    assert events
+    documents = {
+        "labels": cluster_payload(1.5, lv, table),
+        "frames": frames_payload(15.0, frames, results),
+        "events": events_payload(events),
+        "no-events": events_payload([]),
+    }
+    monkeypatch.setattr(radclust.io, "c_make_encoder", None)
+    radclust.io._flat_encoder.cache_clear()
+    try:
+        for name, doc in documents.items():
+            write_json(doc, str(tmp_path / f"{name}.json"))
+            expected = json.dumps(doc, indent=2) + "\n"
+            assert (tmp_path / f"{name}.json").read_bytes() == expected.encode("utf-8")
+        bench = tmp_path / "bench.json"
+        assert main(["bench", "--bench-n", "2,7,10,64,100", "--out", str(bench)]) == 0
+        expected = json.dumps(json.loads(bench.read_bytes()), indent=2) + "\n"
+        assert bench.read_bytes() == expected.encode("utf-8")
+    finally:
+        radclust.io._flat_encoder.cache_clear()
 
 
 def test_build_cluster_table_payload_consistency():
