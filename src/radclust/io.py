@@ -22,12 +22,12 @@ it reads back as written; every other field is written as is.  Both CSV
 writers refuse, before opening their file, ids that would not read back
 unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
 
-The reader works by column: one ``csv.reader`` pass, then ``float()`` over
-each column and one vectorised finiteness and timestamp-order check.  Only
-when that pass fails, for whatever reason, decoding included, does one walk
-read the file's bytes again to word the refusal: first the file's first
-byte that is not UTF-8, then the first bad record, each with its physical
-line, as a record-by-record reader would.
+The reader reads the file's bytes once (a pipe reads as a file does) and
+works by column: one ``csv.reader`` pass, then ``float()`` over each column
+and one vectorised finiteness and timestamp-order check.  Only when that
+pass fails, decoding included, does one walk over the same bytes word the
+refusal: first the first byte that is not UTF-8, then the first bad record,
+each with its physical line, as a record-by-record reader would.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
@@ -107,18 +107,24 @@ def _header_fault(header: list[str], lead: tuple[str, ...]) -> str | None:
     return None
 
 
+def _csv_reader(raw: bytes):
+    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
+    return csv.reader(TextIOWrapper(BytesIO(raw), encoding="utf-8-sig", newline=""))
+
+
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     """Raw ids and float block of a CSV whose header starts with ``lead``.
 
     ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
     timestamp, when there is one, which may not decrease, and then the
-    coordinate columns, at least one.  The columns are parsed whole; any
-    failure, decoding included, sends the file to :func:`_read_records`,
-    which reports the first fault.
+    coordinate columns, at least one.  The file is read once, as bytes, and
+    its columns are parsed whole; any failure, decoding included, sends the
+    bytes to :func:`_read_records`, which reports the first fault.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()  # once: a pipe or FIFO cannot be read again
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(filter(None, csv.reader(fh)))  # the non-blank records
+        rows = list(filter(None, _csv_reader(raw)))  # the non-blank records
         header = rows[0] if rows else []
         if _header_fault(header, lead) or len(rows) < 2 or len(set(map(len, rows))) != 1:
             raise ValueError
@@ -136,19 +142,18 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
         return raw_ids, block
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         pass  # worded outside the handler, so the refusal chains no exception
-    _read_records(path, lead)
+    _read_records(raw, path, lead)
 
 
-def _read_records(path: str, lead: tuple[str, ...]) -> NoReturn:
-    """Raise the error of the first fault in a file :func:`_read_csv` refused.
+def _read_records(raw: bytes, path: str, lead: tuple[str, ...]) -> NoReturn:
+    """Raise the error of the first fault in the bytes :func:`_read_csv` refused.
 
-    The first byte that is not UTF-8 is reported first, with its physical
-    line.  Then each record is checked in full (field count, timestamp,
-    timestamp order, coordinates) before the next, so the first malformed
-    record is the one reported, as a record-by-record reader would report it.
+    ``raw`` is the file's content; ``path`` only names it.  The first byte
+    that is not UTF-8 is reported first, with its physical line.  Then each
+    record is checked in full (field count, timestamp, timestamp order,
+    coordinates) before the next, so the first malformed record is the one
+    reported, as a record-by-record reader would report it.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
         raw.decode("utf-8")  # a byte-order mark decodes, so offsets are the file's
     except UnicodeDecodeError as exc:
@@ -160,8 +165,7 @@ def _read_records(path: str, lead: tuple[str, ...]) -> NoReturn:
             f"as UTF-8: {exc.reason}"
         ) from None
     id_col = len(lead) - 1  # 1 after a timestamp column
-    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
-    reader = csv.reader(TextIOWrapper(BytesIO(raw), encoding="utf-8-sig", newline=""))
+    reader = _csv_reader(raw)
     header = None
     previous = -math.inf
     line_no = 1  # where the next record starts
@@ -276,27 +280,21 @@ def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
 
     Before ``path`` is opened, refuses what the reader would refuse, change
     or merge: frames that break :func:`validate_frames`, ids that would not
-    read back, equal consecutive timestamps (one run of rows), or frames of
-    mixed dimension.
+    read back, or equal consecutive timestamps (one run of rows).
     """
     validate_frames(frames)
     _check_ids_read_back(frames[0].points.ids)
-    d = frames[0].points.dimension
-    for prev, frame in zip([None, *frames], frames):
-        if prev is not None and frame.t == prev.t:
+    for prev, frame in itertools.pairwise(frames):
+        if frame.t == prev.t:
             raise ValueError(
                 f"frame t={frame.t}: equal consecutive timestamps would read back as one frame"
-            )
-        if frame.points.dimension != d:
-            raise ValueError(
-                f"frame t={frame.t}: {frame.points.dimension} coordinates, the first frame has {d}"
             )
     rows = (
         [repr(float(frame.t)), node_id, *map(repr, row)]
         for frame in frames
         for node_id, row in zip(frame.points.ids, frame.points.coords.tolist())
     )
-    _write_csv(path, ["t", "id", *_coord_names(d)], rows)
+    _write_csv(path, ["t", "id", *_coord_names(frames[0].points.dimension)], rows)
 
 
 def project_equirect(frames: Sequence[Frame]) -> list[Frame]:

@@ -68,19 +68,24 @@ def _id_key(node_id: NodeId) -> tuple[bool, NodeId]:
 def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
     """Check the trajectory rules and number every frame's rows in id order.
 
-    A trajectory has at least one frame, finite non-decreasing timestamps and
-    one id set.  Returns, per frame, each row's position among the first
-    frame's ids in id order (ints before strs); frames whose ids equal the
-    first frame's share one read-only array.  ``ValueError`` names the first
-    frame that breaks a rule.
+    A trajectory has at least one frame, finite non-decreasing timestamps,
+    one id set and one dimension.  Returns, per frame, each row's position
+    among the first frame's ids in id order (ints before strs); frames whose
+    ids equal the first frame's share one read-only array.  ``ValueError``
+    names the first frame that breaks a rule.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
+    d = frames[0].points.dimension
     for prev, frame in zip([None, *frames], frames):
         if not math.isfinite(frame.t):  # NaN would pass any order comparison
             raise ValueError(f"frame t={frame.t}: timestamps must be finite")
         if prev is not None and frame.t < prev.t:
             raise ValueError(f"frame t={frame.t}: timestamps must be non-decreasing")
+        if frame.points.dimension != d:
+            raise ValueError(
+                f"frame t={frame.t}: {frame.points.dimension} coordinates, the first frame has {d}"
+            )
     first = frames[0].points.ids
     index = {node_id: k for k, node_id in enumerate(sorted(first, key=_id_key))}
     same = np.array([index[node_id] for node_id in first], dtype=np.intp)

@@ -7,11 +7,14 @@ out index-by-index, and CSV files are decoded one line and read one record
 at a time.
 """
 
+import contextlib
 import csv
 import math
+import os
 from collections import deque
 
 import numpy as np
+import pytest
 
 
 def chain_bits(n):
@@ -179,3 +182,25 @@ def read_csv_by_record(path, lead):
     if not raw_ids:
         raise ValueError(f"{path}: no data rows")
     return raw_ids, np.array(block)
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+
+
+@contextlib.contextmanager
+def piped(data):
+    """A ``/dev/fd`` path that reads ``data`` from a pipe, as a shell's ``<(...)`` does.
+
+    The pipe is filled and its write end closed first, so ``data`` must fit
+    in the pipe's buffer; both ends are closed on exit.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        try:
+            written = os.write(write_fd, data)
+        finally:
+            os.close(write_fd)
+        assert written == len(data)
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)

@@ -5,15 +5,20 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+import radclust.cli
 import radclust.geometry as geometry
 import radclust.io
 import radclust.scenarios as scenarios
 from radclust.cli import main
+from radclust.clustering import LabelVector
 from radclust.geometry import PointSet
 from radclust.io import write_trajectory_csv
 from radclust.trajectory import Frame, synthetic_motorcade
+
+from helpers import needs_dev_fd, piped
 
 
 def _read_json(path):
@@ -182,6 +187,16 @@ def test_cluster_malformed_input_keeps_an_existing_out_file(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
     assert out.read_bytes() == b"old labels\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "labels.json"]
+
+
+@needs_dev_fd
+def test_cluster_piped_malformed_input_names_the_line(tmp_path, capsys):
+    out = tmp_path / "labels.json"
+    with piped(b"id,x,y\n0,1,2\n1,oops,3\n") as inp:
+        code = main(["cluster", "--input", inp, "--radius", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {inp}: line 3: invalid coordinate 'oops'\n"
+    assert not out.exists()
 
 
 def test_cluster_field_over_the_csv_size_limit_exits_one(tmp_path, capsys):
@@ -871,6 +886,19 @@ def test_bench_reports_plan_and_partition_agreement(tmp_path):
         k = n // 2
         assert 2 ** rec["m"] >= k
         assert rec["fast_mults"] <= max(rec["naive_mults"], rec["fast_mults"])
+
+
+def test_bench_checks_both_powers_against_the_pipeline(tmp_path, monkeypatch):
+    # Every node alone is a wrong partition of a random instance with edges.
+    def singletons(adjacency):
+        n = adjacency.bits.shape[0]
+        return LabelVector(np.arange(1, n + 1))
+
+    monkeypatch.setattr(radclust.cli, "cluster_labels", singletons)
+    out = str(tmp_path / "bench.json")
+    assert main(["bench", "--bench-n", "64", "--out", out]) == 0
+    (rec,) = _read_json(out)
+    assert rec["naive_executed"] is True and rec["partitions_match"] is False
 
 
 def test_bench_growth_gap(tmp_path):

@@ -34,6 +34,8 @@ from radclust.trajectory import (
     synthetic_motorcade,
 )
 
+from helpers import needs_dev_fd, piped
+
 
 # ---------------------------------------------------------------------------
 # Point CSV
@@ -466,6 +468,55 @@ def test_trajectory_csv_bad_header(tmp_path):
     path.write_text("id,t,x\n0,0,0.0\n")
     with pytest.raises(ValueError, match="header must be t,id"):
         read_trajectory_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Pipes: the reader reads its input once
+# ---------------------------------------------------------------------------
+
+
+@needs_dev_fd
+@pytest.mark.parametrize(
+    "read, data, fault",
+    [
+        (read_points_csv, b"id,x,y\n0,1,2\n1,oops,3\n", "line 3: invalid coordinate 'oops'"),
+        (
+            read_trajectory_csv,
+            b"t,id,x,y\n0,a,0,0\n0,b,1,0\n1,a,0,0\n1,b,1,0\n0.5,a,0,0\n",
+            "line 6: timestamp 0.5 decreases (previous was 1.0)",
+        ),
+        (
+            read_points_csv,
+            b"id,x,y\n0,0,0\n\xff,1,1\n",
+            "line 3: can't decode byte 0xff as UTF-8: invalid start byte",
+        ),
+    ],
+    ids=["bad-coordinate", "decreasing-t", "not-utf8"],
+)
+def test_a_piped_csv_is_refused_as_the_same_file_on_disk(tmp_path, read, data, fault):
+    # A pipe cannot be read twice: a second read would find it empty.
+    disk = tmp_path / "in.csv"
+    disk.write_bytes(data)
+    with pytest.raises(ValueError) as on_disk:
+        read(str(disk))
+    assert str(on_disk.value) == f"{disk}: {fault}"
+    with piped(data) as path, pytest.raises(ValueError) as through_pipe:
+        read(path)
+    assert str(through_pipe.value) == f"{path}: {fault}"
+
+
+@needs_dev_fd
+def test_a_piped_csv_reads_as_the_same_file_on_disk(tmp_path):
+    data = b"\xef\xbb\xbft,id,x,y\r\n0,a,0.5,1\r\n0,\"b,c\",2,-3e-3\r\n1,a,4,5\r\n1,\"b,c\",6,7\r\n"
+    disk = tmp_path / "in.csv"
+    disk.write_bytes(data)
+    expected = read_trajectory_csv(str(disk))
+    with piped(data) as path:
+        frames = read_trajectory_csv(path)
+    assert [frame.t for frame in frames] == [frame.t for frame in expected] == [0.0, 1.0]
+    for frame, other in zip(frames, expected):
+        assert frame.points.ids == other.points.ids == ("a", "b,c")
+        assert frame.points.coords.tobytes() == other.points.coords.tobytes()
 
 
 # ---------------------------------------------------------------------------

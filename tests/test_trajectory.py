@@ -93,6 +93,12 @@ def test_validate_lists_missing_and_extra_ids_in_id_order():
         validate_frames(frames)
 
 
+def test_validate_rejects_a_change_of_dimension():
+    frames = [_frame(0, [[0.0, 0.0]]), _frame(1, [[0.0, 0.0]]), _frame(2, [[0.0, 0.0, 0.0]])]
+    with pytest.raises(ValueError, match=r"^frame t=2\.0: 3 coordinates, the first frame has 2$"):
+        validate_frames(frames)
+
+
 def test_equal_timestamps_are_allowed():
     frames = [_frame(1, [[0.0, 0.0]]), _frame(1, [[5.0, 0.0]])]
     validate_frames(frames)  # must not raise
@@ -259,6 +265,14 @@ def test_detect_events_rejects_changing_id_sets():
     cfg = ClusteringConfig(radius=2.0)
     results = [cluster_pointset(frame.points, cfg) for frame in frames]
     with pytest.raises(ValueError, match=r"t=3.0: .* \(missing \[1\], extra \[2\]\)"):
+        detect_events(results, frames)
+
+
+def test_detect_events_rejects_a_change_of_dimension():
+    frames = [_frame(0, [[0.0, 0.0], [1.0, 0.0]]), _frame(1, [[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])]
+    cfg = ClusteringConfig(radius=2.0)
+    results = cluster_frames(frames, cfg)
+    with pytest.raises(ValueError, match=r"^frame t=1\.0: 3 coordinates, the first frame has 2$"):
         detect_events(results, frames)
 
 
