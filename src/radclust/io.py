@@ -22,12 +22,10 @@ it reads back as written; every other field is written as is.  Both CSV
 writers refuse, before opening their file, ids that would not read back
 unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
 
-The reader reads the file's bytes once (a pipe reads as a file does) and
-works by column: one ``csv.reader`` pass, then ``float()`` over each column
-and one vectorised finiteness and timestamp-order check.  Only when that
-pass fails, decoding included, does one walk over the same bytes word the
-refusal: first the first byte that is not UTF-8, then the first bad record,
-each with its physical line, as a record-by-record reader would.
+The reader reads the file's bytes once (a pipe reads as a file does).  It
+refuses the first byte that is not UTF-8, then walks the records once with
+one ``csv.reader``: each record is checked in full and its id and floats
+kept, so the first bad record is the one refused, with its physical line.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
@@ -46,6 +44,7 @@ cycle), which calling the C encoder also raises where json has none.
 
 from __future__ import annotations
 
+import array
 import csv
 import functools
 import itertools
@@ -55,7 +54,7 @@ import operator
 import re
 from io import BytesIO, TextIOWrapper
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,53 +106,19 @@ def _header_fault(header: list[str], lead: tuple[str, ...]) -> str | None:
     return None
 
 
-def _csv_reader(raw: bytes):
-    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
-    return csv.reader(TextIOWrapper(BytesIO(raw), encoding="utf-8-sig", newline=""))
-
-
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     """Raw ids and float block of a CSV whose header starts with ``lead``.
 
     ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
     timestamp, when there is one, which may not decrease, and then the
-    coordinate columns, at least one.  The file is read once, as bytes, and
-    its columns are parsed whole; any failure, decoding included, sends the
-    bytes to :func:`_read_records`, which reports the first fault.
+    coordinate columns, at least one.  The file is read once, as bytes.  The
+    first byte that is not UTF-8 is refused first, with its physical line.
+    Then one walk checks each record in full (field count, timestamp,
+    timestamp order, coordinates) before the next, so the first malformed
+    record is the one refused, and keeps each record's stripped id and floats.
     """
     with open(path, "rb") as fh:
         raw = fh.read()  # once: a pipe or FIFO cannot be read again
-    try:
-        rows = list(filter(None, _csv_reader(raw)))  # the non-blank records
-        header = rows[0] if rows else []
-        if _header_fault(header, lead) or len(rows) < 2 or len(set(map(len, rows))) != 1:
-            raise ValueError
-        columns = list(zip(*rows))
-        del rows, header  # the row lists; the columns keep their strings
-        n = len(columns[0]) - 1
-        raw_ids = list(map(str.strip, columns.pop(len(lead) - 1)[1:]))
-        block = np.empty((n, len(columns)))
-        for j, column in enumerate(columns):
-            block[:, j] = np.fromiter(map(float, itertools.islice(column, 1, None)), float, n)
-        del columns
-        stamps = block[:, 0]
-        if not np.isfinite(block).all() or (len(lead) > 1 and (stamps[1:] < stamps[:-1]).any()):
-            raise ValueError
-        return raw_ids, block
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-        pass  # worded outside the handler, so the refusal chains no exception
-    _read_records(raw, path, lead)
-
-
-def _read_records(raw: bytes, path: str, lead: tuple[str, ...]) -> NoReturn:
-    """Raise the error of the first fault in the bytes :func:`_read_csv` refused.
-
-    ``raw`` is the file's content; ``path`` only names it.  The first byte
-    that is not UTF-8 is reported first, with its physical line.  Then each
-    record is checked in full (field count, timestamp, timestamp order,
-    coordinates) before the next, so the first malformed record is the one
-    reported, as a record-by-record reader would report it.
-    """
     try:
         raw.decode("utf-8")  # a byte-order mark decodes, so offsets are the file's
     except UnicodeDecodeError as exc:
@@ -165,9 +130,12 @@ def _read_records(raw: bytes, path: str, lead: tuple[str, ...]) -> NoReturn:
             f"as UTF-8: {exc.reason}"
         ) from None
     id_col = len(lead) - 1  # 1 after a timestamp column
-    reader = _csv_reader(raw)
+    # utf-8-sig drops a leading byte-order mark, which would spoil the header.
+    reader = csv.reader(TextIOWrapper(BytesIO(raw), encoding="utf-8-sig", newline=""))
     header = None
     previous = -math.inf
+    raw_ids: list[str] = []
+    values = array.array("d")  # per row the timestamp, then the coordinates; no float objects
     line_no = 1  # where the next record starts
     try:
         for row in reader:
@@ -189,12 +157,16 @@ def _read_records(raw: bytes, path: str, lead: tuple[str, ...]) -> NoReturn:
                             f"(previous was {previous})"
                         )
                     previous = t
+                    values.append(t)
+                raw_ids.append(row[id_col].strip())
                 for token in row[id_col + 1 :]:
-                    _parse_float(token, path, line_no, "coordinate")
+                    values.append(_parse_float(token, path, line_no, "coordinate"))
             line_no = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")
+    if not raw_ids:
+        raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")
+    return raw_ids, np.array(values).reshape(len(raw_ids), -1)
 
 
 def _coord_names(d: int) -> list[str]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .clustering import ClusterTable, LabelVector, cluster_color_names
 from .geometry import PointSet
-from .trajectory import Frame
+from .trajectory import Frame, validate_frames
 
 __all__ = ["render_points_svg", "render_frames_svg", "frame_svg_paths"]
 
@@ -83,10 +83,12 @@ def render_frames_svg(
 ) -> list[str]:
     """Write one SVG per frame into ``out_dir``, sharing a global viewport.
 
-    Returns the written paths, those of ``frame_svg_paths``.
+    Returns the written paths, those of ``frame_svg_paths``.  Frames that
+    break :func:`validate_frames` are refused before ``out_dir`` is made.
     """
     if len(frames) != len(results):
         raise ValueError("results and frames must have equal length")
+    validate_frames(frames)
     all_coords = np.vstack([frame.points.coords for frame in frames])
     bounds = _bounds(all_coords)
     os.makedirs(out_dir, exist_ok=True)

@@ -130,14 +130,15 @@ def _records(lines, path):
 def read_csv_by_record(path, lead):
     """Raw ids and float block of a point or trajectory CSV, one record at a time.
 
-    The record-by-record reader the columnar ``radclust.io._read_csv`` must
-    match: ``lead`` is ``("id",)`` or ``("t", "id")``.  Each physical line
-    (ended by ``\r\n``, ``\r`` or ``\n``, kept on the line) is decoded on
-    its own first, so a byte that is not UTF-8 is reported before any record
-    is looked at.  Then each record is checked in full (field count,
-    timestamp, timestamp order, coordinates) before the next, so the first
-    malformed record is the one reported, with the physical line it starts
-    on.
+    The reference ``radclust.io._read_csv`` must match, written apart from
+    it: ``lead`` is ``("id",)`` or ``("t", "id")``.  Where ``_read_csv``
+    decodes the whole file and walks it with one ``csv.reader``, this reader
+    decodes each physical line (ended by ``\r\n``, ``\r`` or ``\n``, kept
+    on the line) on its own first, so a byte that is not UTF-8 is reported
+    before any record is looked at.  Then each record is checked in full
+    (field count, timestamp, timestamp order, coordinates) before the next,
+    so the first malformed record is the one reported, with the physical
+    line it starts on.
     """
     with open(path, "rb") as fh:
         raw_lines = fh.read().splitlines(keepends=True)

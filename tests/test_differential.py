@@ -6,7 +6,7 @@ adjacency, ``m`` plain squarings for the power, the paper's mask scan of
 the power plus the BFS oracle for the component labels, the
 intersection of every cluster pair for the split/merge events,
 ``json.dumps(indent=2)`` for the JSON writer, and a record-by-record reader
-for the columnar CSV reader.
+that decodes each physical line on its own for the CSV reader.
 """
 
 import csv
@@ -710,7 +710,7 @@ def test_write_json_raises_what_json_dumps_raises(tmp_path, obj, error):
 
 
 # ---------------------------------------------------------------------------
-# Columnar CSV reader against the record-by-record reader
+# CSV reader against the record-by-record reference reader
 # ---------------------------------------------------------------------------
 
 _GOOD_FLOATS = ["0", "1.5", "-2.25", "1e-3", " 3.0", "7", "0.1", "-0.0", "1_0"]
@@ -777,7 +777,7 @@ def _read_or_error(read, path, lead):
 
 @settings(max_examples=400, deadline=None)
 @given(timestamped=st.booleans(), data=st.data())
-def test_columnar_csv_reader_matches_record_by_record_reader_property(
+def test_csv_reader_matches_record_by_record_reader_property(
     tmp_path_factory, timestamped, data
 ):
     lead = ("t", "id") if timestamped else ("id",)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ def test_points_csv_mixed_ids_become_strings(tmp_path):
     assert read_points_csv(str(path)).ids == ("7", "a")
 
 
+def test_points_csv_strips_ids_before_typing_them(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("id,x,y\n 7 ,0.0,0.0\n 8,1.0,1.0\n")
+    assert read_points_csv(str(path)).ids == (7, 8)
+    path.write_text("id,x,y\n b ,0.0,0.0\n7,1.0,1.0\n")
+    assert read_points_csv(str(path)).ids == ("b", "7")
+
+
 def test_points_csv_canonical_int_ids_stay_ints(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("id,x,y\n0,0.0,0.0\n-3,1.0,1.0\n10,2.0,2.0\n")
@@ -265,7 +274,7 @@ def test_points_csv_refuses_bytes_that_are_not_utf8_before_any_record(tmp_path, 
 
 @pytest.mark.parametrize("row", [b"0,0\n", b"0,inf,0\n", b"\xff,0,0\n"], ids=["short", "non-finite", "not-utf8"])
 def test_points_csv_refusal_chains_no_exception(tmp_path, row):
-    # The columnar pass's own failure is not shown beneath the refusal.
+    # No exception of the parse is shown beneath the refusal.
     path = tmp_path / "pts.csv"
     path.write_bytes(b"id,x,y\n" + row)
     with pytest.raises(ValueError, match=r"pts\.csv: line 2: ") as info:
@@ -406,12 +415,19 @@ def test_trajectory_csv_refuses_bytes_that_are_not_utf8_before_any_record(tmp_pa
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_valid_csv_files_never_reach_the_record_walk(tmp_path, monkeypatch, d, end):
-    # The walk only words refusals: a good file is read once, by columns.
-    def walk(path, lead):
-        raise AssertionError(f"{path} reached the record walk")
+def test_valid_csv_files_are_read_and_parsed_once(tmp_path, monkeypatch, d, end):
+    # Each read opens its input once and walks it with one csv.reader.
+    calls = []
 
-    monkeypatch.setattr("radclust.io._read_records", walk)
+    def counted(name, func):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr("radclust.io.open", counted("open", open), raising=False)
+    monkeypatch.setattr(csv, "reader", counted("csv.reader", csv.reader))
     names = ["x", "y", "z", "c3"][:d]
     ids = ("a,b", "x\ny", "p\r\nq", "r\rs", "7")
     quoted = ['"a,b"', '"x\ny"', '"p\r\nq"', '"r\rs"', "7"]
@@ -421,13 +437,36 @@ def test_valid_csv_files_never_reach_the_record_walk(tmp_path, monkeypatch, d, e
     lines = [["id", *names], *rows]
     points.write_bytes(("\ufeff" + "".join(",".join(row) + end for row in lines)).encode("utf-8"))
     ps = read_points_csv(str(points))
+    assert calls == ["open", "csv.reader"]
     assert ps.ids == ids and ps.coords.tolist() == coords
     traj = tmp_path / "traj.csv"
     lines = [["t", "id", *names], *(["0", *row] for row in rows), *(["1", *row] for row in rows)]
     traj.write_bytes(("\ufeff" + "".join(",".join(row) + end for row in lines)).encode("utf-8"))
     frames = read_trajectory_csv(str(traj))
+    assert calls == ["open", "csv.reader"] * 2
     assert [frame.t for frame in frames] == [0.0, 1.0]
     assert all(frame.points.ids == ids and frame.points.coords.tolist() == coords for frame in frames)
+
+
+@pytest.mark.parametrize("trajectory", [False, True], ids=["points", "trajectory"])
+def test_csv_reader_peaks_below_six_times_the_file(tmp_path, trajectory):
+    # 2 * 10^4 rows of repr floats: the reader keeps no second copy of the rows.
+    rng = np.random.default_rng(7)
+    path = tmp_path / "in.csv"
+    if trajectory:
+        frames = [Frame(float(t), PointSet(rng.random((100, 2)))) for t in range(200)]
+        write_trajectory_csv(frames, str(path))
+    else:
+        write_points_csv(PointSet(rng.random((20000, 2))), str(path))
+    lead = ("t", "id") if trajectory else ("id",)
+    tracemalloc.start()
+    try:
+        raw_ids, block = radclust.io._read_csv(str(path), lead)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(raw_ids) == len(block) == 20000
+    assert peak < 6 * path.stat().st_size
 
 
 def test_trajectory_csv_rejects_decreasing_t(tmp_path):

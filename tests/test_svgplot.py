@@ -1,12 +1,13 @@
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from radclust.clustering import cluster_pointset
 from radclust.geometry import ClusteringConfig, PointSet
 from radclust.svgplot import frame_svg_paths, render_frames_svg, render_points_svg
-from radclust.trajectory import cluster_frames, synthetic_motorcade
+from radclust.trajectory import Frame, cluster_frames, synthetic_motorcade
 
 _SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -88,3 +89,12 @@ def test_frame_svgs_require_matching_lengths(tmp_path):
     results = cluster_frames(frames, ClusteringConfig(radius=15.0))
     with pytest.raises(ValueError):
         render_frames_svg(frames, results[:1], str(tmp_path / "x"))
+
+
+def test_frame_svgs_refuse_a_change_of_dimension_before_writing(tmp_path):
+    frames = [Frame(0.0, PointSet([[0.0, 0.0], [1.0, 0.0]])), Frame(1.0, PointSet(np.zeros((2, 3))))]
+    results = cluster_frames(frames, ClusteringConfig(radius=2.0))
+    out = tmp_path / "plots"
+    with pytest.raises(ValueError, match=r"^frame t=1\.0: 3 coordinates, the first frame has 2$"):
+        render_frames_svg(frames, results, str(out))
+    assert not out.exists()

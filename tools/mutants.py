@@ -201,10 +201,26 @@ MUTANTS = (
     Mutant(
         "reader-timestamp-order",
         "src/radclust/io.py",
-        "if not np.isfinite(block).all() or (len(lead) > 1 and (stamps[1:] < stamps[:-1]).any()):",
-        "if not np.isfinite(block).all():",
+        "if t < previous:",
+        "if False:",
         ("tests/test_io.py::test_trajectory_csv_rejects_decreasing_t",
          "tests/test_cli.py::test_trajectory_rejects_decreasing_timestamps"),
+    ),
+    # The reader refuses a non-finite value and reads each id stripped.
+    Mutant(
+        "reader-finite",
+        "src/radclust/io.py",
+        "if not math.isfinite(value):",
+        "if False:",
+        ("tests/test_io.py::test_points_csv_rejects_non_finite",
+         "tests/test_io.py::test_points_csv_refusal_chains_no_exception[non-finite]"),
+    ),
+    Mutant(
+        "reader-strips-ids",
+        "src/radclust/io.py",
+        "row[id_col].strip()",
+        "row[id_col]",
+        ("tests/test_io.py::test_points_csv_strips_ids_before_typing_them",),
     ),
     # Events: a parent with two or more children splits.
     Mutant(
