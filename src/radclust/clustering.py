@@ -160,13 +160,13 @@ def cluster_labels(g: BinaryMatrix) -> LabelVector:
     """Label the connected components of the graph of ``g``.
 
     ``g`` is a radius-graph adjacency or any power of one: symmetric with a
-    set diagonal.  Components are found by hooking and pointer jumping
-    with no matrix product (see the module docstring) and numbered 1, 2, ...
-    in order of their lowest-index node.
+    set diagonal (an unset one is a ``ValueError``).  Components are found
+    by hooking and pointer jumping with no matrix product (module docstring)
+    and numbered 1, 2, ... in order of their lowest-index node.
     """
     bits = g.bits
-    if not bits.any(axis=1).all():
-        raise ValueError("matrix has an all-zero row")
+    if not bits.diagonal().all():
+        raise ValueError("matrix has an unset diagonal entry")
     roots, _ = _component_roots(bits)
     # Roots are lowest indices, so root r's label is the number of roots <= r.
     return LabelVector((roots == np.arange(roots.size)).cumsum()[roots])

@@ -9,9 +9,11 @@ or fewer", the property the paper's power method (``matpower``) rests on.
 
 Dimension is arbitrary (>= 1) and must be uniform within a point set.
 
-Distances are computed as ``sqrt(sum(diff**2))`` in float64, which is only
-trustworthy while no square underflows or overflows.  The radius and every
-nonzero coordinate magnitude must therefore lie in the safe range
+Distances are computed in float64 as ``sqrt(e_0**2 + e_1**2 + ...)`` over the
+axis differences ``e_k``, added left to right one axis at a time, so the sum
+depends on neither numpy's reduction strategy nor the memory layout.  That
+is only trustworthy while no square underflows or overflows.  The radius
+and every nonzero coordinate magnitude must therefore lie in the safe range
 ``[SCALE_MIN, SCALE_MAX] = [2**-500, 2**500]``; coordinates may also be
 exactly 0.  Inside that range a nonzero coordinate difference is at least
 ``2**-552``, every sum of squares stays below ``d * 2**1002`` (finite for
@@ -35,7 +37,8 @@ edges:
 
 1. A computed distance below ``r`` puts every exact axis difference below
    ``r``.  With ``e = fl(x - y)``, it is at least ``RN(sqrt(RN(e * e)))``,
-   as rounding, non-negative sums and the square root are monotone; that is
+   as rounding, non-negative sums and the square root are monotone, whatever
+   the order of the sum, so the grid is exact under any order; that is
    ``|e|`` in binary64 (Boldo, "Stupid is as stupid does", ENTCS 317, 2015)
    unless ``e * e < 2**-1022``, which needs ``|e| < 2**-511 < r``.  As ``r``
    is a float, monotone rounding turns ``|e| < r`` into ``|x - y| < r``.
@@ -335,11 +338,15 @@ class _CellPairs:
 def _set_close_pairs(bits, coords, i, j, radius) -> None:
     """Set ``bits[i, j]`` and ``bits[j, i]`` where the pair is closer than ``radius``.
 
-    The one distance predicate, over the pairs ``(i[k], j[k])``; its
-    temporaries end with the call.
+    The one distance predicate, over the pairs ``(i[k], j[k])``: squared
+    axis differences added left to right (module docstring).  Its
+    temporaries are one batch long and end with the call.
     """
-    diff = coords[i] - coords[j]
-    keep = np.sqrt((diff**2).sum(axis=-1)) < radius
+    total = 0.0
+    for k in range(coords.shape[1]):
+        e = coords[i, k] - coords[j, k]
+        total = total + e * e
+    keep = np.sqrt(total) < radius
     i, j = i[keep], j[keep]
     bits[i, j] = True
     bits[j, i] = True
@@ -349,9 +356,10 @@ def build_adjacency(ps: PointSet, cfg: ClusteringConfig) -> BinaryMatrix:
     """N x N adjacency: entry (i, j) is 1 iff distance(p_i, p_j) < r.
 
     Symmetric by construction, diagonal all ones (0 < r always holds).  The
-    distance ``sqrt(sum(diff**2))`` is computed only for the candidate pairs
-    of a uniform grid (module docstring), in batches of ``_CHUNK_ELEMENTS``,
-    and each kept pair is set in both directions; every entry equals that
+    distance, ``sqrt`` of the squared axis differences added left to right,
+    is computed only for the candidate pairs of a uniform grid (module
+    docstring), in batches of ``_CHUNK_ELEMENTS``, and each kept pair is
+    set in both directions; every entry equals that
     expression evaluated over all N x N pairs at once, bit for bit.  Raises
     ``ValueError``, before allocating, when the ``N**2`` bytes of the
     boolean matrix exceed the usable memory (physical memory or a lower

@@ -25,7 +25,8 @@ unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
 The reader reads the file's bytes once (a pipe reads as a file does).  It
 refuses the first byte that is not UTF-8, then walks the records once with
 one ``csv.reader``: each record is checked in full and its id and floats
-kept, so the first bad record is the one refused, with its physical line.
+kept, so the first bad record is the one refused, worded in one place with
+the file and the physical line it starts on.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
@@ -86,24 +87,14 @@ def _parse_ids(raw_ids: list[str]) -> list:
     return list(raw_ids)
 
 
-def _parse_float(token: str, path: str, line_no: int, what: str) -> float:
+def _parse_float(token: str, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ValueError(
-            f"{path}: line {line_no}: invalid {what} {token!r}"
-        ) from None
+        raise ValueError(f"invalid {what} {token!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{path}: line {line_no}: non-finite {what} {token!r}")
+        raise ValueError(f"non-finite {what} {token!r}")
     return value
-
-
-def _header_fault(header: list[str], lead: tuple[str, ...]) -> str | None:
-    """Why ``header`` is not ``lead`` and at least one coordinate name, or ``None``."""
-    names = [name.strip().lower() for name in header[: len(lead)]]
-    if len(header) <= len(lead) or names != list(lead):
-        return f"header must be {','.join(lead)},<coord>,... got {','.join(header)!r}"
-    return None
 
 
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
@@ -141,28 +132,25 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
         for row in reader:
             if row and header is None:
                 header = row
-                fault = _header_fault(row, lead)
-                if fault:
-                    raise ValueError(f"{path}: line {line_no}: {fault}")
+                names = [name.strip().lower() for name in row[: len(lead)]]
+                if len(row) <= len(lead) or names != list(lead):
+                    raise ValueError(
+                        f"header must be {','.join(lead)},<coord>,... got {','.join(row)!r}"
+                    )
             elif row:
                 if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
-                    )
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 if id_col:
-                    t = _parse_float(row[0], path, line_no, "timestamp")
+                    t = _parse_float(row[0], "timestamp")
                     if t < previous:
-                        raise ValueError(
-                            f"{path}: line {line_no}: timestamp {t} decreases "
-                            f"(previous was {previous})"
-                        )
+                        raise ValueError(f"timestamp {t} decreases (previous was {previous})")
                     previous = t
                     values.append(t)
                 raw_ids.append(row[id_col].strip())
                 for token in row[id_col + 1 :]:
-                    values.append(_parse_float(token, path, line_no, "coordinate"))
+                    values.append(_parse_float(token, "coordinate"))
             line_no = reader.line_num + 1
-    except csv.Error as exc:
+    except (ValueError, csv.Error) as exc:  # every record fault, worded here once
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
     if not raw_ids:
         raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")
@@ -195,8 +183,10 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def read_points_csv(path: str) -> PointSet:
     """Read a point CSV into a :class:`PointSet` (row order preserved)."""
     raw_ids, coords = _read_csv(path, ("id",))
+    ids = _parse_ids(raw_ids)
+    del raw_ids  # freed before PointSet copies the ids
     try:
-        return PointSet(coords, _parse_ids(raw_ids))
+        return PointSet(coords, ids)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -231,6 +221,7 @@ def read_trajectory_csv(path: str) -> list[Frame]:
     """
     raw_ids, block = _read_csv(path, ("t", "id"))
     ids = _parse_ids(raw_ids)
+    del raw_ids  # freed before the frames' PointSets copy the ids
     stamps = block[:, 0]
     starts = [0, *(np.flatnonzero(stamps[1:] != stamps[:-1]) + 1).tolist()]
     frames: list[Frame] = []

@@ -55,14 +55,16 @@ def binarized_int_power(bits, k):
 
 
 def pairwise_adjacency(coords, radius):
-    """Adjacency built from explicit per-pair distance checks (no broadcasting)."""
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
+    """Adjacency from per-pair distances in plain Python, squares added left to right."""
+    coords = np.asarray(coords, dtype=float).tolist()
+    n = len(coords)
     bits = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
-            d = float(np.sqrt(((coords[i] - coords[j]) ** 2).sum()))
-            bits[i, j] = d < radius
+            total = 0.0
+            for a, b in zip(coords[i], coords[j]):
+                total += (a - b) * (a - b)
+            bits[i, j] = math.sqrt(total) < radius
     return bits
 
 

@@ -68,6 +68,12 @@ def test_labels_reject_zero_rows():
         cluster_labels(BinaryMatrix(bits))
 
 
+def test_labels_reject_an_unset_diagonal():
+    # Symmetric, no all-zero row, but node 0 is not adjacent to itself.
+    with pytest.raises(ValueError, match="diagonal"):
+        cluster_labels(BinaryMatrix([[0, 1], [1, 1]]))
+
+
 def test_mask_labels_reject_zero_rows():
     bits = np.eye(3, dtype=bool)
     bits[1, 1] = False

@@ -166,6 +166,58 @@ def test_distance_exactly_at_radius_is_not_adjacent():
     assert not adj[0, 1]
 
 
+# Pairs drawn from np.random.default_rng(0), x then y, whose squares summed
+# left to right and summed pairwise (numpy's sum along a contiguous row of 8
+# or more) give distances an ulp or so apart; r is the larger of the two.
+# Pairwise, the pair is an edge at r for d = 8 and 16 and not for d = 9;
+# left to right it is the other way round.
+_SUM_ORDER_CASES = [
+    (
+        [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+         0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+         0.6066357757671799, 0.7294965609839984],
+        [0.5436249914654229, 0.9350724237877682, 0.8158535541215322,
+         0.002738500170148095, 0.8574042765875693, 0.033585575305464355,
+         0.7296554464299441, 0.17565562060255901],
+        1.4658469730588726,
+    ),
+    (
+        [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+         0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+         0.6066357757671799, 0.7294965609839984, 0.5436249914654229],
+        [0.9350724237877682, 0.8158535541215322, 0.002738500170148095,
+         0.8574042765875693, 0.033585575305464355, 0.7296554464299441,
+         0.17565562060255901, 0.8631789223498866, 0.5414612202490917],
+        1.3930713659669425,
+    ),
+    (
+        [0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+         0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+         0.6066357757671799, 0.7294965609839984, 0.5436249914654229,
+         0.9350724237877682, 0.8158535541215322, 0.002738500170148095,
+         0.8574042765875693, 0.033585575305464355, 0.7296554464299441,
+         0.17565562060255901],
+        [0.8631789223498866, 0.5414612202490917, 0.2997118905373848,
+         0.42268722119765845, 0.028319671145462966, 0.12428327649956394,
+         0.6706244146936303, 0.6471895115742501, 0.6153851114812539,
+         0.38367755426188344, 0.997209935789211, 0.9808353387762301,
+         0.6855419844806947, 0.6504592762678163, 0.6884467305709401,
+         0.3889214239791038],
+        1.833465853874897,
+    ),
+]
+
+
+@pytest.mark.parametrize("x, y, r", _SUM_ORDER_CASES, ids=["d=8", "d=9", "d=16"])
+def test_adjacency_adds_the_squares_left_to_right(x, y, r):
+    ps = PointSet([x, y])
+    for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+        got = build_adjacency(ps, ClusteringConfig(radius)).bits
+        assert np.array_equal(got, pairwise_adjacency([x, y], radius))
+    # Left to right, the pair is an edge at r only for d = 9.
+    assert pairwise_adjacency([x, y], r)[0, 1] == (len(x) == 9)
+
+
 def test_adjacency_symmetric_with_unit_diagonal():
     rng = np.random.default_rng(123)
     for seed in range(10):

@@ -469,6 +469,20 @@ def test_csv_reader_peaks_below_six_times_the_file(tmp_path, trajectory):
     assert peak < 6 * path.stat().st_size
 
 
+def test_read_points_csv_peaks_below_five_and_a_half_times_the_file(tmp_path):
+    # The raw id strings are freed before PointSet copies the ids.
+    path = tmp_path / "pts.csv"
+    write_points_csv(PointSet(np.random.default_rng(7).random((20000, 2))), str(path))
+    tracemalloc.start()
+    try:
+        ps = read_points_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.ids == tuple(range(20000))
+    assert peak < 5.5 * path.stat().st_size
+
+
 def test_trajectory_csv_rejects_decreasing_t(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text("t,id,x,y\n1,0,0.0,0.0\n0,0,0.0,0.0\n")

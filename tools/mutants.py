@@ -57,18 +57,28 @@ MUTANTS = (
     Mutant(
         "strict-predicate",
         "src/radclust/geometry.py",
-        "keep = np.sqrt((diff**2).sum(axis=-1)) < radius",
-        "keep = np.sqrt((diff**2).sum(axis=-1)) <= radius",
+        "keep = np.sqrt(total) < radius",
+        "keep = np.sqrt(total) <= radius",
         (DIFF + "test_adjacency_matches_unchunked_expression",
          GEOM + "test_distance_exactly_at_radius_is_not_adjacent"),
     ),
-    # One distance predicate, sqrt(sum(diff**2)), and no other.
+    # One distance predicate, sqrt of the squares added left to right, and no other.
     Mutant(
         "squared-predicate",
         "src/radclust/geometry.py",
-        "keep = np.sqrt((diff**2).sum(axis=-1)) < radius",
-        "keep = (diff**2).sum(axis=-1) < radius * radius",
+        "keep = np.sqrt(total) < radius",
+        "keep = total < radius * radius",
         (DIFF + "test_adjacency_matches_unchunked_expression",),
+    ),
+    Mutant(
+        "sum-order",
+        "src/radclust/geometry.py",
+        "    total = 0.0\n"
+        "    for k in range(coords.shape[1]):\n"
+        "        e = coords[i, k] - coords[j, k]\n"
+        "        total = total + e * e\n",
+        "    total = ((coords[i] - coords[j]) ** 2).sum(axis=-1)\n",
+        (GEOM + "test_adjacency_adds_the_squares_left_to_right",),
     ),
     # The safe range: nothing below 2**-500, where squares underflow.
     Mutant(
