@@ -15,6 +15,14 @@ included), 2 internal invariant violation.  Every error path prints a single
 ``error: ...`` line to stderr.  One guard per run (``_outputs``) refuses an
 output that names the input or another output before any clustering, and
 on failure removes the output files and directories the run created.
+
+``run`` is the process entry of both ``radclust`` and ``python -m radclust``.
+It calls ``main``, flushes stdout and stderr, and ends the process with
+``os._exit``, skipping the interpreter's teardown, which would only free
+what the process is about to give back: ``main`` has written and closed
+every output by then, and radclust registers no ``atexit`` hook and starts
+no thread.  So ``atexit`` hooks registered by anything else do not run.
+``main`` itself returns its exit code, for callers in the same process.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .scenarios import SCENARIO_KINDS, generate
 from .svgplot import frame_svg_paths, render_frames_svg, render_points_svg
 from .trajectory import cluster_frames, detect_events
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # ``bench`` runs both power methods and checks them against the pipeline only
 # up to this size; the sequential method needs floor(n/2) - 1 full products
@@ -290,3 +298,19 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def run() -> None:
+    """Run ``main`` on the command line and end the process with its exit code.
+
+    ``--help`` exits through argparse's ``SystemExit``, whose code is used.
+    The process ends by ``os._exit`` once stdout and stderr are flushed, with
+    no interpreter teardown (module docstring).
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse, after printing the help
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

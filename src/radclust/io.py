@@ -22,11 +22,18 @@ it reads back as written; every other field is written as is.  Both CSV
 writers refuse, before opening their file, ids that would not read back
 unchanged in value and type (``' b'``, or ``1`` beside ``'x'``).
 
-The reader reads the file's bytes once (a pipe reads as a file does).  It
-refuses the first byte that is not UTF-8, then walks the records once with
-one ``csv.reader``: each record is checked in full and its id and floats
-kept, so the first bad record is the one refused, worded in one place with
-the file and the physical line it starts on.
+The reader reads the file's bytes once (a pipe reads as a file does).  A
+plain file is parsed by ``np.loadtxt``'s C reader: one whose bytes are all
+printable ASCII or ``\n``, with no ``"``, whose header is on line 1, and
+whose lines are no longer than ``csv.field_size_limit()``.  Its rows are
+then held to the record walk's checks (a row for every non-blank line,
+finite floats, timestamps that never decrease, stripped ids).  Any other
+file, and any plain one ``loadtxt`` refuses or that fails a check, takes
+the record walk: it refuses the first byte that is not UTF-8, then walks
+the records once with one ``csv.reader``: each record is checked in full
+and its id and floats kept, so the first bad record is the one refused,
+worded in one place with the file and the physical line it starts on.
+Both give the same ids and the same float bits.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
@@ -53,6 +60,7 @@ import json
 import math
 import operator
 import re
+import warnings
 from io import BytesIO, TextIOWrapper
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Sequence
@@ -97,19 +105,75 @@ def _parse_float(token: str, what: str) -> float:
     return value
 
 
+# The bytes of a plain file: printable ASCII but the quote, and the line feed.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+
+
+def _header_ok(header: list[str], lead: tuple[str, ...]) -> bool:
+    names = [name.strip().lower() for name in header[: len(lead)]]
+    return len(header) > len(lead) and names == list(lead)
+
+
+def _read_plain(raw: bytes, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray] | None:
+    """``_read_csv``'s result for a plain file, by ``np.loadtxt``; else ``None``.
+
+    ``None`` leaves the file to the record walk, which words its fault: a
+    file that is not plain (module docstring), one ``loadtxt`` refuses or
+    warns on, and one whose rows fail a check the walk makes.  ``loadtxt``
+    reads quotes and control bytes otherwise than ``csv.reader`` and
+    ``float()`` do (it strips a byte 0x1c around a float, which ``float()``
+    refuses), and it has no field size limit, hence the plain file.
+    """
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    # Each line's length plus one; the text after the last line end is a line.
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    spans = np.diff(ends, prepend=-1, append=len(raw))
+    header = raw[: spans[0] - 1].decode("ascii").split(",")
+    if not _header_ok(header, lead) or spans.max() > csv.field_size_limit() + 1:
+        return None
+    n_rows = np.count_nonzero(spans[1:] > 1)  # the non-blank lines after the header
+    del ends, spans  # freed before loadtxt's rows are allocated
+    id_col = len(lead) - 1
+    dtype = np.dtype(
+        [("id", object) if k == id_col else (f"f{k}", float) for k in range(len(header))]
+    )
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data", for one
+            rows = np.loadtxt(
+                BytesIO(raw), dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    block = np.column_stack([rows[name] for name in dtype.names if name != "id"])
+    if (
+        len(rows) != n_rows
+        or not np.isfinite(block).all()
+        or (id_col and not (block[1:, 0] >= block[:-1, 0]).all())
+    ):
+        return None
+    return [raw_id.strip() for raw_id in rows["id"].tolist()], block
+
+
 def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     """Raw ids and float block of a CSV whose header starts with ``lead``.
 
     ``lead`` is ``("id",)`` or ``("t", "id")``.  The block holds the
     timestamp, when there is one, which may not decrease, and then the
-    coordinate columns, at least one.  The file is read once, as bytes.  The
-    first byte that is not UTF-8 is refused first, with its physical line.
-    Then one walk checks each record in full (field count, timestamp,
-    timestamp order, coordinates) before the next, so the first malformed
-    record is the one refused, and keeps each record's stripped id and floats.
+    coordinate columns, at least one.  The file is read once, as bytes.  A
+    plain file is parsed by :func:`_read_plain`.  Any other, and a plain one
+    it gives back, takes the record walk.  The first byte that is not UTF-8
+    is refused first, with its physical line.  Then one walk checks each
+    record in full (field count, timestamp, timestamp order, coordinates)
+    before the next, so the first malformed record is the one refused, and
+    keeps each record's stripped id and floats.
     """
     with open(path, "rb") as fh:
         raw = fh.read()  # once: a pipe or FIFO cannot be read again
+    plain = _read_plain(raw, lead)
+    if plain is not None:
+        return plain
     try:
         raw.decode("utf-8")  # a byte-order mark decodes, so offsets are the file's
     except UnicodeDecodeError as exc:
@@ -132,8 +196,7 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
         for row in reader:
             if row and header is None:
                 header = row
-                names = [name.strip().lower() for name in row[: len(lead)]]
-                if len(row) <= len(lead) or names != list(lead):
+                if not _header_ok(row, lead):
                     raise ValueError(
                         f"header must be {','.join(lead)},<coord>,... got {','.join(row)!r}"
                     )
@@ -154,7 +217,7 @@ def _read_csv(path: str, lead: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"{path}: line {line_no}: {exc}") from None
     if not raw_ids:
         raise ValueError(f"{path}: {'empty file' if header is None else 'no data rows'}")
-    return raw_ids, np.array(values).reshape(len(raw_ids), -1)
+    return raw_ids, np.frombuffer(values).reshape(len(raw_ids), -1)
 
 
 def _coord_names(d: int) -> list[str]:

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -1051,3 +1053,55 @@ def test_bench_failed_write_leaves_no_partial_json(tmp_path, monkeypatch, capsys
     assert main(["bench", "--bench-n", "2,7", "--out", str(out)]) == 1
     assert "No space left on device" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the process entry: python -m radclust, which exits without teardown
+# ---------------------------------------------------------------------------
+
+
+def _spawn(argv):
+    # Block-buffered stdout, as when piped: output not flushed before the
+    # process ends would be lost.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(radclust.cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"  # argparse wraps the help to the terminal's width
+    return subprocess.run(
+        [sys.executable, "-m", "radclust", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_help_exits_zero_with_the_help_main_prints(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["cluster", "--help"])
+    assert info.value.code == 0
+    spawned = _spawn(["cluster", "--help"])
+    assert (spawned.returncode, spawned.stderr) == (0, "")
+    assert spawned.stdout == capsys.readouterr().out
+
+
+def test_module_refusal_exits_one_with_its_error_line(tmp_path):
+    inp, out = tmp_path / "bad.csv", tmp_path / "labels.json"
+    inp.write_text("id,x,y\n0,1,2\n1,oops,3\n")
+    spawned = _spawn(["cluster", "--input", str(inp), "--radius", "1", "--out", str(out)])
+    assert spawned.returncode == 1
+    assert spawned.stderr == f"error: {inp}: line 3: invalid coordinate 'oops'\n"
+    assert not out.exists()
+
+
+def test_module_trajectory_writes_the_bytes_main_writes(tmp_path, motorcade_csv):
+    outputs = {}
+    for tag in ("spawned", "in-process"):
+        out, events = str(tmp_path / f"{tag}-frames.json"), str(tmp_path / f"{tag}-events.json")
+        argv = ["trajectory", "--input", motorcade_csv, "--radius", "15", "--out", out, "--events", events]
+        if tag == "spawned":
+            spawned = _spawn(argv)
+            assert (spawned.returncode, spawned.stdout, spawned.stderr) == (0, "", "")
+        else:
+            assert main(argv) == 0
+        outputs[tag] = (_read_bytes(out), _read_bytes(events))
+    assert outputs["spawned"] == outputs["in-process"]
+

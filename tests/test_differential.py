@@ -23,7 +23,7 @@ import radclust.clustering as clustering
 import radclust.geometry as geometry
 import radclust.matpower as matpower
 from radclust.clustering import cluster_labels
-from radclust.io import _read_csv, write_json
+from radclust.io import _read_csv, _read_plain, write_json
 from radclust.geometry import BinaryMatrix, ClusteringConfig, PointSet, build_adjacency
 from radclust.matpower import (
     bool_multiply,
@@ -783,14 +783,7 @@ def _read_or_error(read, path, lead):
         return str(exc)
 
 
-@settings(max_examples=400, deadline=None)
-@given(timestamped=st.booleans(), data=st.data())
-def test_csv_reader_matches_record_by_record_reader_property(
-    tmp_path_factory, timestamped, data
-):
-    lead = ("t", "id") if timestamped else ("id",)
-    path = tmp_path_factory.getbasetemp() / "reader.csv"
-    path.write_bytes(data.draw(_csv_texts(timestamped)))
+def _assert_reads_as_by_record(path, lead):
     got = _read_or_error(_read_csv, str(path), lead)
     want = _read_or_error(read_csv_by_record, str(path), lead)
     if isinstance(want, str):
@@ -800,3 +793,79 @@ def test_csv_reader_matches_record_by_record_reader_property(
         assert ids == want[0]
         assert block.dtype == want[1].dtype and block.shape == want[1].shape
         assert block.flags.c_contiguous and block.tobytes() == want[1].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(timestamped=st.booleans(), data=st.data())
+def test_csv_reader_matches_record_by_record_reader_property(
+    tmp_path_factory, timestamped, data
+):
+    lead = ("t", "id") if timestamped else ("id",)
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    path.write_bytes(data.draw(_csv_texts(timestamped)))
+    _assert_reads_as_by_record(path, lead)
+
+
+_PLAIN_FLOATS = ["0", "1.5", "-2.25", "1e-3", "7", "0.1", "-0.0", "+4", ".5", "3.", "2.5E+3", "5e-324", "1.7976931348623157e308", " 3.0", "8 "]
+_PLAIN_IDS = ["0", "1", "-3", "07", "a", "b c", " d ", "#", "x#1", "1e3", "nan"]
+# Each sends a plain file to the record walk, which reads it (a non-ASCII
+# digit, which float() reads and loadtxt does not see) or refuses it.
+_WALK_FLOATS = ["1_0", "nan", "inf", "-Infinity", "1e400", "#1", "0x1", "oops", "", "\u0661", "\x1c1"]
+
+
+@st.composite
+def _plain_csv_texts(draw, timestamped):
+    """A CSV file with LF line ends, no BOM and no quote, and whether it is plain.
+
+    It is plain, and read by ``np.loadtxt``, unless a feature the record walk
+    must read or refuse is drawn: a float ``loadtxt`` reads otherwise or
+    not at all, a whitespace-only line, blank lines before the header, a
+    line over ``csv.field_size_limit()``, a short record, a decreasing
+    timestamp or no record at all.  Blank lines and spaces around fields
+    leave it plain.
+    """
+    lead = ["t", "id"] if timestamped else ["id"]
+    id_col = len(lead) - 1
+    d = draw(st.integers(1, 3))
+    lines = [",".join(lead + ["x", "y", "z"][:d])]
+    walk = draw(st.integers(0, 9)) == 0
+    if walk:
+        lines[:0] = [""] * draw(st.integers(1, 2))  # the header after blank lines
+    n = draw(st.integers(0, 8))
+    walk |= n == 0
+    stamps = sorted(draw(st.lists(st.sampled_from(["0", "1", "2.5", "10"]), min_size=n, max_size=n)), key=float)
+    for k in range(n):
+        feature = draw(st.sampled_from(["none"] * 10 + ["blank", "whitespace", "float", "decrease", "short", "huge"]))
+        fields = [draw(st.sampled_from(_PLAIN_IDS))] + [draw(st.sampled_from(_PLAIN_FLOATS)) for _ in range(d)]
+        if timestamped:
+            fields.insert(0, "-1" if feature == "decrease" and k else stamps[k])
+            walk |= feature == "decrease" and k > 0
+        floats = [j for j in range(len(fields)) if j != id_col]
+        if feature == "blank":
+            lines.append("")
+        elif feature == "whitespace":
+            lines.append(draw(st.sampled_from([" ", "  ", " ,"])))
+        elif feature == "float":
+            fields[draw(st.sampled_from(floats))] = draw(st.sampled_from(_WALK_FLOATS))
+        elif feature == "short":
+            fields.pop()
+        elif feature == "huge":
+            fields[draw(st.integers(0, len(fields) - 1))] = "1" * (csv.field_size_limit() + 1)
+        walk |= feature in ("whitespace", "float", "short", "huge")
+        lines.append(",".join(fields))
+    text = "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+    return text.encode("utf-8"), not walk
+
+
+@settings(max_examples=400, deadline=None)
+@given(timestamped=st.booleans(), data=st.data())
+def test_csv_reader_matches_record_by_record_reader_on_plain_files_property(
+    tmp_path_factory, timestamped, data
+):
+    # Plain files take the loadtxt pass, and every other file the record walk.
+    lead = ("t", "id") if timestamped else ("id",)
+    raw, plain = data.draw(_plain_csv_texts(timestamped))
+    assert (_read_plain(raw, lead) is not None) == plain
+    path = tmp_path_factory.getbasetemp() / "plain.csv"
+    path.write_bytes(raw)
+    _assert_reads_as_by_record(path, lead)

@@ -167,11 +167,13 @@ def test_points_csv_mixed_ids_become_strings(tmp_path):
 
 
 def test_points_csv_strips_ids_before_typing_them(tmp_path):
+    # The plain file takes the loadtxt pass; behind a byte-order mark, the record walk.
     path = tmp_path / "pts.csv"
-    path.write_text("id,x,y\n 7 ,0.0,0.0\n 8,1.0,1.0\n")
-    assert read_points_csv(str(path)).ids == (7, 8)
-    path.write_text("id,x,y\n b ,0.0,0.0\n7,1.0,1.0\n")
-    assert read_points_csv(str(path)).ids == ("b", "7")
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"id,x,y\n 7 ,0.0,0.0\n 8,1.0,1.0\n")
+        assert read_points_csv(str(path)).ids == (7, 8)
+        path.write_bytes(bom + b"id,x,y\n b ,0.0,0.0\n7,1.0,1.0\n")
+        assert read_points_csv(str(path)).ids == ("b", "7")
 
 
 def test_points_csv_canonical_int_ids_stay_ints(tmp_path):

@@ -232,6 +232,60 @@ MUTANTS = (
         "row[id_col]",
         ("tests/test_io.py::test_points_csv_strips_ids_before_typing_them",),
     ),
+    # The loadtxt pass reads only plain files, no line of which is longer
+    # than the csv field size limit, and holds its rows to the walk's checks.
+    Mutant(
+        "fast-plain-quotes",
+        "src/radclust/io.py",
+        """bytes(range(0x20, 0x7F)).replace(b'"', b"")""",
+        "bytes(range(0x20, 0x7F))",
+        (DIFF + "test_csv_reader_matches_record_by_record_reader_property",),
+    ),
+    Mutant(
+        "fast-line-length",
+        "src/radclust/io.py",
+        " or spans.max() > csv.field_size_limit() + 1:",
+        ":",
+        ("tests/test_io.py::test_points_csv_field_over_the_csv_size_limit_names_the_line",
+         "tests/test_cli.py::test_cluster_field_over_the_csv_size_limit_exits_one"),
+    ),
+    Mutant(
+        "fast-row-count",
+        "src/radclust/io.py",
+        "len(rows) != n_rows",
+        "False",
+        equivalent=(
+            "On numpy 2.4.6, loadtxt with delimiter ',' and comments=None skips"
+            " exactly the empty lines and refuses every other line whose field"
+            " count is not the header's, so over a plain file its row count is"
+            " the count of non-blank lines (no mismatch over 200,000 random"
+            " plain files).  The check keeps the reader exact on a numpy whose"
+            " rule for skipping lines differs."
+        ),
+    ),
+    Mutant(
+        "fast-finite",
+        "src/radclust/io.py",
+        "or not np.isfinite(block).all()",
+        "or False",
+        ("tests/test_io.py::test_points_csv_rejects_non_finite",
+         "tests/test_io.py::test_points_csv_refusal_chains_no_exception[non-finite]"),
+    ),
+    Mutant(
+        "fast-timestamp-order",
+        "src/radclust/io.py",
+        "or (id_col and not (block[1:, 0] >= block[:-1, 0]).all())",
+        "or False",
+        ("tests/test_io.py::test_trajectory_csv_rejects_decreasing_t",
+         "tests/test_cli.py::test_trajectory_rejects_decreasing_timestamps"),
+    ),
+    Mutant(
+        "fast-strips-ids",
+        "src/radclust/io.py",
+        """[raw_id.strip() for raw_id in rows["id"].tolist()]""",
+        """rows["id"].tolist()""",
+        ("tests/test_io.py::test_points_csv_strips_ids_before_typing_them",),
+    ),
     # Events: a parent with two or more children splits.
     Mutant(
         "events-at-two",
@@ -275,6 +329,14 @@ MUTANTS = (
         "except RecursionError:",
         (DIFF + "test_write_json_matches_json_dumps_off_the_plain_types",
          "tests/test_io.py::test_write_json_without_the_c_encoder_writes_json_dumps_bytes"),
+    ),
+    # The process ends by os._exit, after flushing what it printed.
+    Mutant(
+        "exit-flushes",
+        "src/radclust/cli.py",
+        "    sys.stdout.flush()\n",
+        "",
+        ("tests/test_cli.py::test_module_help_exits_zero_with_the_help_main_prints",),
     ),
     # _outputs removes only the outputs the failed run created.
     Mutant(
