@@ -22,7 +22,11 @@ It calls ``main``, flushes stdout and stderr, and ends the process with
 what the process is about to give back: ``main`` has written and closed
 every output by then, and radclust registers no ``atexit`` hook and starts
 no thread.  So ``atexit`` hooks registered by anything else do not run.
-``main`` itself returns its exit code, for callers in the same process.
+A stream closed before the process started (``sys.stdout`` is then
+``None``) is not flushed, so a run with its stdout closed still exits 0; a
+flush that fails, as when a reader has closed the pipe, exits 1 with one
+``error: ...`` line.  ``main`` itself returns its exit code, for callers in
+the same process.
 """
 
 from __future__ import annotations
@@ -304,13 +308,19 @@ def run() -> None:
     """Run ``main`` on the command line and end the process with its exit code.
 
     ``--help`` exits through argparse's ``SystemExit``, whose code is used.
-    The process ends by ``os._exit`` once stdout and stderr are flushed, with
-    no interpreter teardown (module docstring).
+    The process ends by ``os._exit`` once stdout and stderr, where they
+    exist, are flushed, with no interpreter teardown (module docstring).
     """
     try:
         code = main()
     except SystemExit as exc:  # argparse, after printing the help
         code = exc.code
-    sys.stdout.flush()
-    sys.stderr.flush()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError as exc:  # a reader that closed the pipe, for one
+        with suppress(OSError):
+            print(f"error: can't flush output: {exc}", file=sys.stderr, flush=True)
+        code = 1
     os._exit(code)

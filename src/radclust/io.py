@@ -37,24 +37,24 @@ Both give the same ids and the same float bits.
 
 :func:`write_json` writes exactly the bytes of ``json.dumps(obj, indent=2)``
 plus a final newline.  With ``indent`` CPython before 3.13 encodes in pure
-Python, a call per value.  Here the C encoder (``json.encoder.c_make_encoder``)
+Python, a call per value.  Here a ``json.JSONEncoder`` with no indent
 writes every scalar, one call for all the lists of scalars at one nesting
 level, with an item separator that carries that level's line break and
 indent; dicts that share an order of ``str`` keys are encoded a key at a
 time.  Python handles the nesting, not the items.  Every document radclust
-writes takes that path.  Any other goes whole to ``json.dumps``: one with a
+writes takes that path, in C where json has a C encoder and in pure Python
+where it has none.  Any other goes whole to ``json.dumps``: one with a
 value of another type (a subclass, a numpy scalar), a key that is not a
 ``str``, an empty dict or a reference cycle, or whose values encoded side
 by side mix kinds other than scalars, or are dicts in different key orders.
 Each is refused with json's own ``TypeError`` (``RecursionError`` for a
-cycle), which calling the C encoder also raises where json has none.
+cycle).
 """
 
 from __future__ import annotations
 
 import array
 import csv
-import functools
 import itertools
 import json
 import math
@@ -62,7 +62,6 @@ import operator
 import re
 import warnings
 from io import BytesIO, TextIOWrapper
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -422,27 +421,23 @@ def events_payload(events: Sequence[ClusterEvent]) -> list[dict]:
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 
 
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(level: int):
-    """The C encoder for scalar-only containers whose items sit at ``level``.
+def _encode(value, level: int) -> str:
+    """``value`` in JSON, items separated by a line break indented to ``level``.
 
-    Its item separator breaks the line and indents to ``level``, so it
-    writes the items exactly as ``json.dumps(indent=2)`` does; only the
-    brackets need their line breaks added.
+    ``json.JSONEncoder`` with no indent uses json's C encoder where there is
+    one, and its pure-Python encoder where there is none, byte for byte alike.
     """
-    return c_make_encoder(
-        None, json.JSONEncoder().default, encode_basestring_ascii, None,
-        ": ", ",\n" + "  " * level, False, False, True,
-    )
+    separators = (",\n" + "  " * level, ": ")
+    return json.JSONEncoder(separators=separators, check_circular=False).encode(value)
 
 
 def _texts(values: list, level: int) -> list[str]:
     """``json.dumps(v, indent=2)`` of each of the non-empty ``values``, opened at ``level``.
 
     Values of one kind share encoder calls.  Scalars, and lists that hold
-    only scalars, take one call of the C encoder for the whole list: no
-    encoded scalar holds a raw line break, so its item separator, between a
-    closing and an opening bracket, splits the texts apart.  The items of
+    only scalars, take one encoder call for the whole list: no encoded
+    scalar holds a raw line break, so its item separator, between a closing
+    and an opening bracket, splits the texts apart.  The items of
     lists that hold containers are encoded as one list and cut back apart.
     Dicts with one order of ``str`` keys are encoded a key at a time, each
     key's values as one list.  Python recursion walks only the nesting,
@@ -451,7 +446,7 @@ def _texts(values: list, level: int) -> list[str]:
     """
     kinds = set(map(type, values))
     if _SCALAR_TYPES.issuperset(kinds):
-        return "".join(_flat_encoder(0)(values, 0))[1:-1].split(",\n")
+        return _encode(values, 0)[1:-1].split(",\n")
     if len(kinds) > 1:
         raise TypeError
     kind = kinds.pop()
@@ -462,7 +457,7 @@ def _texts(values: list, level: int) -> list[str]:
             raise TypeError  # {} included
         pieces = []
         for key in values[0]:
-            head = ("," if pieces else "{") + inner + encode_basestring_ascii(key) + ": "
+            head = ("," if pieces else "{") + inner + _encode(key, 0) + ": "
             column = _texts(list(map(operator.itemgetter(key), values)), level + 1)
             pieces += [itertools.repeat(head), column]
         return list(map("".join, zip(*pieces, itertools.repeat(outer + "}"))))
@@ -477,7 +472,7 @@ def _texts(values: list, level: int) -> list[str]:
             else "[]"
             for value in values
         ]
-    text = "".join(_flat_encoder(level + 1)(values, 0))
+    text = _encode(values, level + 1)
     return [
         "[" + inner + body + outer + "]" if body else "[]"
         for body in text[2:-2].split("]," + inner + "[")

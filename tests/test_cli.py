@@ -1060,16 +1060,20 @@ def test_bench_failed_write_leaves_no_partial_json(tmp_path, monkeypatch, capsys
 # ---------------------------------------------------------------------------
 
 
-def _spawn(argv):
+def _spawn_env():
     # Block-buffered stdout, as when piped: output not flushed before the
     # process ends would be lost.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(radclust.cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["COLUMNS"] = "80"  # argparse wraps the help to the terminal's width
+    return env
+
+
+def _spawn(argv):
     return subprocess.run(
         [sys.executable, "-m", "radclust", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_spawn_env(), capture_output=True, text=True, timeout=60,
     )
 
 
@@ -1105,3 +1109,35 @@ def test_module_trajectory_writes_the_bytes_main_writes(tmp_path, motorcade_csv)
         outputs[tag] = (_read_bytes(out), _read_bytes(events))
     assert outputs["spawned"] == outputs["in-process"]
 
+
+def test_module_with_stdout_closed_exits_zero_with_the_bytes_main_writes(tmp_path):
+    # The shell closes descriptor 1 (>&-) before the interpreter starts, so
+    # sys.stdout is None in the process.
+    inp = str(tmp_path / "chain.csv")
+    _write_chain_csv(inp)
+    spawned_out, own_out = str(tmp_path / "spawned.json"), str(tmp_path / "in-process.json")
+    argv = ["cluster", "--input", inp, "--radius", "1.5", "--out"]
+    spawned = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "radclust", *argv, spawned_out],
+        env=_spawn_env(), stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert (spawned.returncode, spawned.stderr) == (0, "")
+    assert main([*argv, own_out]) == 0
+    assert _read_bytes(spawned_out) == _read_bytes(own_out)
+
+
+def test_module_help_into_a_closed_pipe_exits_one_with_its_error_line():
+    # The pipe's read end is closed before the process starts, so writing
+    # the help fails with EPIPE when run flushes stdout.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        spawned = subprocess.run(
+            [sys.executable, "-m", "radclust", "cluster", "--help"],
+            env=_spawn_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert spawned.returncode == 1
+    assert "Traceback" not in spawned.stderr
+    assert spawned.stderr.startswith("error: ") and spawned.stderr.count("\n") == 1

@@ -395,3 +395,68 @@ def test_cell_keys_refuse_a_grid_past_int64():
     # (2**21 + 1)**3 keys: slot @ stride would wrap around silently.
     with pytest.raises(ValueError, match="too many for int64 cell keys"):
         geometry._cell_keys(_diagonal(2**20), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact invariances of the predicate, at the boundary
+# ---------------------------------------------------------------------------
+
+
+def _distance(x, y):
+    """The predicate's distance: the squared differences added left to right."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total += (a - b) * (a - b)
+    return math.sqrt(total)
+
+
+@st.composite
+def _boundary_cases(draw, min_d=1):
+    """Points in [0, 1)**d, and radii at one pair's distance and an ulp either side.
+
+    The coordinates are multiples of ``2**-53``, so every scaled value below
+    stays in the safe range and no square is subnormal.
+    """
+    d = draw(st.sampled_from([d for d in (1, 2, 3, 5, 8, 9, 16) if d >= min_d]))
+    n = draw(st.integers(2, 6))
+    coords = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, d))
+    i, j = draw(st.permutations(range(n)))[:2]
+    r = _distance(coords[i].tolist(), coords[j].tolist())
+    return coords, (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf))
+
+
+def _assert_same_graph(coords, moved, radii, scale=1.0):
+    before, after = PointSet(coords), PointSet(moved)
+    for r in radii:
+        cfg, moved_cfg = ClusteringConfig(r), ClusteringConfig(r * scale)
+        assert build_adjacency(before, cfg) == build_adjacency(after, moved_cfg)
+        assert np.array_equal(
+            cluster_pointset(before, cfg)[0].labels, cluster_pointset(after, moved_cfg)[0].labels
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_cases(), k=st.integers(-40, 40))
+def test_labels_do_not_change_when_coordinates_and_r_scale_by_a_power_of_two(case, k):
+    # Every operation of the predicate commutes with an exact power-of-two scale.
+    coords, radii = case
+    _assert_same_graph(coords, coords * 2.0**k, radii, scale=2.0**k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_cases(), data=st.data())
+def test_labels_do_not_change_when_axes_are_negated(case, data):
+    # Rounding to nearest is symmetric: fl(-x - (-y)) = -fl(x - y), equal squares.
+    coords, radii = case
+    d = coords.shape[1]
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
+    _assert_same_graph(coords, coords * np.array(signs), radii)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_cases(min_d=2))
+def test_labels_do_not_change_when_axes_0_and_1_swap(case):
+    # Axes 0 and 1 meet only in the sum's first addition, which commutes.
+    coords, radii = case
+    order = [1, 0, *range(2, coords.shape[1])]
+    _assert_same_graph(coords, coords[:, order], radii)

@@ -764,19 +764,21 @@ def test_write_json_without_the_c_encoder_writes_json_dumps_bytes(tmp_path, monk
         "events": events_payload(events),
         "no-events": events_payload([]),
     }
-    monkeypatch.setattr(radclust.io, "c_make_encoder", None)
-    radclust.io._flat_encoder.cache_clear()
-    try:
-        for name, doc in documents.items():
-            write_json(doc, str(tmp_path / f"{name}.json"))
-            expected = json.dumps(doc, indent=2) + "\n"
-            assert (tmp_path / f"{name}.json").read_bytes() == expected.encode("utf-8")
-        bench = tmp_path / "bench.json"
-        assert main(["bench", "--bench-n", "2,7,10,64,100", "--out", str(bench)]) == 0
-        expected = json.dumps(json.loads(bench.read_bytes()), indent=2) + "\n"
-        assert bench.read_bytes() == expected.encode("utf-8")
-    finally:
-        radclust.io._flat_encoder.cache_clear()
+    expected = {name: json.dumps(doc, indent=2) + "\n" for name, doc in documents.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps was called")
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json, "dumps", refuse)
+    for name, doc in documents.items():
+        write_json(doc, str(tmp_path / f"{name}.json"))
+        assert (tmp_path / f"{name}.json").read_bytes() == expected[name].encode("utf-8")
+    bench = tmp_path / "bench.json"
+    assert main(["bench", "--bench-n", "2,7,10,64,100", "--out", str(bench)]) == 0
+    monkeypatch.undo()
+    expected = json.dumps(json.loads(bench.read_bytes()), indent=2) + "\n"
+    assert bench.read_bytes() == expected.encode("utf-8")
 
 
 def test_build_cluster_table_payload_consistency():

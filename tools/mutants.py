@@ -80,6 +80,23 @@ MUTANTS = (
         "    total = ((coords[i] - coords[j]) ** 2).sum(axis=-1)\n",
         (GEOM + "test_adjacency_adds_the_squares_left_to_right",),
     ),
+    # Only the first addition commutes: added right to left, swapping axes 0
+    # and 1 moves a pair at the boundary across it.
+    Mutant(
+        "sum-reversed",
+        "src/radclust/geometry.py",
+        "for k in range(coords.shape[1]):",
+        "for k in reversed(range(coords.shape[1])):",
+        (GEOM + "test_labels_do_not_change_when_axes_0_and_1_swap",),
+    ),
+    # No tolerance: an absolute one breaks the power-of-two scale invariance.
+    Mutant(
+        "absolute-tolerance",
+        "src/radclust/geometry.py",
+        "keep = np.sqrt(total) < radius",
+        "keep = np.sqrt(total) < radius + 1e-12",
+        (GEOM + "test_labels_do_not_change_when_coordinates_and_r_scale_by_a_power_of_two",),
+    ),
     # The safe range: nothing below 2**-500, where squares underflow.
     Mutant(
         "safe-range-wider",
@@ -316,27 +333,34 @@ MUTANTS = (
     Mutant(
         "json-ascii",
         "src/radclust/io.py",
-        "None, json.JSONEncoder().default, encode_basestring_ascii, None,",
-        "None, json.JSONEncoder().default, json.encoder.py_encode_basestring, None,",
+        "check_circular=False).encode(value)",
+        "check_circular=False, ensure_ascii=False).encode(value)",
         (DIFF + "test_write_json_matches_json_dumps_indent_2_property",),
     ),
     # What write_json does not encode itself, json.dumps writes: the signal is
-    # json's own TypeError, also where json has no C encoder.
+    # json's own TypeError.
     Mutant(
         "json-fallback-signal",
         "src/radclust/io.py",
         "except (TypeError, RecursionError):",
         "except RecursionError:",
-        (DIFF + "test_write_json_matches_json_dumps_off_the_plain_types",
-         "tests/test_io.py::test_write_json_without_the_c_encoder_writes_json_dumps_bytes"),
+        (DIFF + "test_write_json_matches_json_dumps_off_the_plain_types",),
     ),
-    # The process ends by os._exit, after flushing what it printed.
+    # The process ends by os._exit, after flushing what it printed, and
+    # flushes no stream that was closed before it started.
     Mutant(
         "exit-flushes",
         "src/radclust/cli.py",
-        "    sys.stdout.flush()\n",
-        "",
+        "stream.flush()",
+        "pass",
         ("tests/test_cli.py::test_module_help_exits_zero_with_the_help_main_prints",),
+    ),
+    Mutant(
+        "exit-flushes-missing-stream",
+        "src/radclust/cli.py",
+        "if stream is not None:",
+        "if True:",
+        ("tests/test_cli.py::test_module_with_stdout_closed_exits_zero_with_the_bytes_main_writes",),
     ),
     # _outputs removes only the outputs the failed run created.
     Mutant(
