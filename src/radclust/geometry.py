@@ -73,6 +73,36 @@ cells, the cell itself included, and these candidates are expanded and
 tested in batches of at most ``_CHUNK_ELEMENTS``, so no temporary grows with
 the crowding of a cell: all-coincident points test ``N**2`` candidates in
 fixed-size batches.
+
+Exact invariances.  As the grid only picks candidates (facts 1 and 2), the
+adjacency is the predicate over all pairs, so a transform of the input
+that leaves every pair's predicate alone leaves the adjacency alone, entry
+for entry once the transform is undone, and the partition with it:
+
+- Row permutation.  Entry ``(i, j)`` reads rows ``i`` and ``j`` alone, so
+  the matrix's rows and columns permute with the points'.  The components
+  are the same sets of points; labels are numbered by each component's
+  lowest row, so they are the permuted labels renumbered in that order.
+- A point coincident with row ``i``, appended under a new id.  Its axis
+  differences to any row are row ``i``'s, bit for bit, and to row ``i``
+  all 0, below any ``r``: it takes row ``i``'s adjacency row and an edge
+  to ``i``, and no old entry changes.  It joins ``i``'s component and, as
+  the last row, is no component's lowest, so no old label changes.
+- Scaling the coordinates and ``r`` by ``2**k``, while every value stays in
+  the safe range and no square is subnormal.  There each step commutes
+  with the exact scale: ``fl(2**k * x - 2**k * y) = 2**k * fl(x - y)``,
+  squares and their sums scale by ``2**(2 * k)``, ``sqrt`` back by
+  ``2**k``, and the comparison with ``2**k * r`` is the same.
+- Negating any axis.  Rounding to nearest is symmetric, so
+  ``fl(-x - (-y)) = -fl(x - y)`` and every square is the same.
+- Swapping axes 0 and 1.  They meet only in the sum's first addition,
+  ``e_0**2 + e_1**2``, which commutes; every later addition then sees the
+  same partial sum.
+
+Nothing else is exact.  Any other order of the axes regroups the sum, and
+float addition does not associate, so a pair within an ulp or so of ``r``
+may cross it.  Translation rounds ``x + c`` and ``y + c`` before they are
+subtracted, so ``fl((x + c) - (y + c))`` need not be ``fl(x - y)``.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ coordinate column.  Trajectory CSV: header ``t,id,x,y[,...]``, rows grouped
 by non-decreasing timestamp; every timestamp group must contain the same ids
 (``validate_frames``).  The trajectory reader refuses a decreasing timestamp
 at its line, and a frame whose ids are not the first frame's by its
-timestamp, both naming the file.  The trajectory writer refuses, before
-opening its file, frames whose timestamps, id sets or dimensions would not
-read back as written.
+timestamp, both naming the file.  Of several faults it names a record's
+first, wherever it lies, as the record walk reads the whole file before
+any frame is built; then the first frame that breaks a rule, its ids or
+its own point set (a duplicate id, a coordinate outside the safe range).
+The trajectory writer refuses, before opening its file, frames whose
+timestamps, id sets or dimensions would not read back as written.
 
 The id column is parsed as integers when every value in the file is an
 integer in canonical form (``7``, ``-3``; not ``07``, ``+7`` or ``-0``),
@@ -280,6 +283,8 @@ def read_trajectory_csv(path: str) -> list[Frame]:
 
     Frames are the runs of rows with equal timestamps; they must pass
     :func:`validate_frames`, so every frame holds the first frame's ids.
+    The first frame that breaks a rule, its own point set's included, is
+    the one named.
     """
     raw_ids, block = _read_csv(path, ("t", "id"))
     ids = _parse_ids(raw_ids)
@@ -287,13 +292,15 @@ def read_trajectory_csv(path: str) -> list[Frame]:
     stamps = block[:, 0]
     starts = [0, *(np.flatnonzero(stamps[1:] != stamps[:-1]) + 1).tolist()]
     frames: list[Frame] = []
-    for lo, hi in zip(starts, starts[1:] + [len(ids)]):
-        t = float(stamps[lo])
-        try:
-            frames.append(Frame(t=t, points=PointSet(block[lo:hi, 1:], ids[lo:hi])))
-        except ValueError as exc:
-            raise ValueError(f"{path}: frame t={t}: {exc}") from None
     try:
+        for lo, hi in zip(starts, starts[1:] + [len(ids)]):
+            t = float(stamps[lo])
+            try:
+                frames.append(Frame(t=t, points=PointSet(block[lo:hi, 1:], ids[lo:hi])))
+            except ValueError as exc:
+                if frames:  # an earlier frame's fault comes first
+                    validate_frames(frames)
+                raise ValueError(f"frame t={t}: {exc}") from None
         validate_frames(frames)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -71,12 +71,17 @@ def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
     A trajectory has at least one frame, finite non-decreasing timestamps,
     one id set and one dimension.  Returns, per frame, each row's position
     among the first frame's ids in id order (ints before strs); frames whose
-    ids equal the first frame's share one read-only array.  ``ValueError``
-    names the first frame that breaks a rule.
+    ids equal the first frame's share one read-only array.  Each frame is
+    checked once, in order: ``ValueError`` names the first that breaks a rule.
     """
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
     d = frames[0].points.dimension
+    first = frames[0].points.ids
+    index = {node_id: k for k, node_id in enumerate(sorted(first, key=_id_key))}
+    same = np.array([index[node_id] for node_id in first], dtype=np.intp)
+    same.flags.writeable = False
+    positions = []
     for prev, frame in zip([None, *frames], frames):
         if not math.isfinite(frame.t):  # NaN would pass any order comparison
             raise ValueError(f"frame t={frame.t}: timestamps must be finite")
@@ -86,12 +91,6 @@ def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
             raise ValueError(
                 f"frame t={frame.t}: {frame.points.dimension} coordinates, the first frame has {d}"
             )
-    first = frames[0].points.ids
-    index = {node_id: k for k, node_id in enumerate(sorted(first, key=_id_key))}
-    same = np.array([index[node_id] for node_id in first], dtype=np.intp)
-    same.flags.writeable = False
-    positions = []
-    for frame in frames:
         ids = frame.points.ids
         if ids == first:  # the usual case: rows in the first frame's order
             positions.append(same)
@@ -124,8 +123,8 @@ def detect_events(
     The links (module docstring) and each event's members come from one
     F x n label matrix, its columns the ids in :func:`validate_frames`'s id
     order.  Events go by frame, splits before merges, then lowest member id.
-    ``ValueError`` names a frame that breaks a trajectory rule or whose label
-    count is not its point count.
+    ``ValueError`` names the first frame that breaks a trajectory rule, each
+    checked once and in order, else the first whose label count is not its point count.
     """
     if len(results) != len(frames):
         raise ValueError("results and frames must have equal length")

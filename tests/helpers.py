@@ -107,6 +107,23 @@ def partition_sets(labels):
     return frozenset(frozenset(g) for g in groups.values())
 
 
+# Trajectory files with faults in two frames, and the fault the reader names
+# (after the path).  The ids change at t=1.0, and t=2.0 breaks a rule of its
+# own point set, which the reader finds while it builds the frames.
+_IDS_CHANGE = "t,id,x,y\n0,a,0,0\n0,b,1,0\n1,a,0,0\n1,c,1,0\n"
+_AT_T1 = "frame t=1.0: node ids do not match the first frame (missing ['b'], extra ['c'])"
+FIRST_BAD_FRAME_FILES = [
+    pytest.param(_IDS_CHANGE + "2,a,0,0\n2,a,1,0\n", _AT_T1, id="then-a-duplicate-id"),
+    pytest.param(_IDS_CHANGE + "2,a,0,0\n2,b,1e-200,0\n", _AT_T1, id="then-an-unsafe-coordinate"),
+    # No frame comes before the first frame's own fault.
+    pytest.param(
+        "t,id,x,y\n0,a,0,0\n0,a,1,0\n1,a,0,0\n1,c,1,0\n",
+        "frame t=0.0: duplicate point id 'a'",
+        id="a-duplicate-id-first",
+    ),
+]
+
+
 def _parse_float(token, path, line_no, what):
     try:
         value = float(token)

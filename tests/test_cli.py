@@ -20,7 +20,7 @@ from radclust.geometry import PointSet
 from radclust.io import write_trajectory_csv
 from radclust.trajectory import Frame, synthetic_motorcade
 
-from helpers import needs_dev_fd, piped
+from helpers import FIRST_BAD_FRAME_FILES, needs_dev_fd, piped
 
 
 def _read_json(path):
@@ -749,6 +749,18 @@ def test_trajectory_refuses_changed_id_sets_before_clustering(tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
+@pytest.mark.parametrize("text, message", FIRST_BAD_FRAME_FILES)
+def test_trajectory_names_the_first_frame_that_breaks_a_rule(tmp_path, capsys, text, message):
+    inp = tmp_path / "bad.csv"
+    inp.write_text(text)
+    code = main(
+        ["trajectory", "--input", str(inp), "--radius", "2", "--out", str(tmp_path / "f.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {inp}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
 def test_trajectory_out_of_memory_keeps_existing_outputs(
     tmp_path, monkeypatch, capsys, motorcade_csv
 ):
@@ -1141,3 +1153,52 @@ def test_module_help_into_a_closed_pipe_exits_one_with_its_error_line():
     assert spawned.returncode == 1
     assert "Traceback" not in spawned.stderr
     assert spawned.stderr.startswith("error: ") and spawned.stderr.count("\n") == 1
+
+
+def _string_id_inputs(tmp_path):
+    """A point CSV and a trajectory CSV whose ids are strings, rows shuffled."""
+    rng = np.random.default_rng(5)
+    names = [f"node-{k:02d}" for k in range(24)]
+    points = tmp_path / "points.csv"
+    with open(points, "w", encoding="utf-8") as fh:
+        fh.write("id,x,y\n")
+        for k in rng.permutation(len(names)):
+            fh.write(f"{names[k]},{rng.uniform(0, 6)},{rng.uniform(0, 6)}\n")
+    walk = tmp_path / "walk.csv"
+    xy = rng.uniform(0, 6, (len(names), 2))
+    with open(walk, "w", encoding="utf-8") as fh:
+        fh.write("t,id,x,y\n")
+        for t in range(8):
+            xy += rng.normal(0, 0.6, xy.shape)
+            for k in rng.permutation(len(names)):
+                fh.write(f"{t},{names[k]},{xy[k, 0]},{xy[k, 1]}\n")
+    return {"cluster": points, "trajectory": walk}
+
+
+@pytest.mark.parametrize("command", ["cluster", "trajectory"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, command):
+    # String ids are the inputs whose hashes PYTHONHASHSEED randomises.
+    inp = _string_id_inputs(tmp_path)[command]
+    outputs = {}
+    for seed in ("0", "1"):
+        run = tmp_path / f"seed-{seed}"
+        run.mkdir()
+        svg = run / ("plot.svg" if command == "cluster" else "plots")
+        argv = [command, "--input", str(inp), "--radius", "1.2", "--out", str(run / "out.json"),
+                "--svg", str(svg)]
+        if command == "trajectory":
+            argv += ["--events", str(run / "events.json")]
+        spawned = subprocess.run(
+            [sys.executable, "-m", "radclust", *argv],
+            env=dict(_spawn_env(), PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=60,
+        )
+        assert (spawned.returncode, spawned.stderr) == (0, "")
+        outputs[seed] = {str(p.relative_to(run)): p.read_bytes() for p in run.rglob("*.*")}
+    assert outputs["0"] == outputs["1"]
+    names = set(outputs["0"])
+    assert names == (
+        {"out.json", "plot.svg"} if command == "cluster"
+        else {"out.json", "events.json", *(f"plots/frame_{t:04d}.svg" for t in range(8))}
+    )
+    if command == "trajectory":
+        assert json.loads(outputs["0"]["events.json"])  # some splits and merges

@@ -460,3 +460,46 @@ def test_labels_do_not_change_when_axes_0_and_1_swap(case):
     coords, radii = case
     order = [1, 0, *range(2, coords.shape[1])]
     _assert_same_graph(coords, coords[:, order], radii)
+
+
+def _numbered_by_lowest_index(labels):
+    """Labels renumbered 1, 2, ... in order of each cluster's lowest row."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.ravel()] + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_cases(), data=st.data())
+def test_adjacency_and_labels_permute_with_the_rows(case, data):
+    # Each entry is one pair's predicate, which reads only that pair's rows.
+    coords, radii = case
+    perm = np.array(data.draw(st.permutations(range(coords.shape[0]))))
+    before, after = PointSet(coords), PointSet(coords[perm])
+    for r in radii:
+        cfg = ClusteringConfig(r)
+        bits = build_adjacency(before, cfg).bits
+        assert np.array_equal(build_adjacency(after, cfg).bits, bits[np.ix_(perm, perm)])
+        labels = cluster_pointset(before, cfg)[0].labels
+        assert np.array_equal(
+            cluster_pointset(after, cfg)[0].labels, _numbered_by_lowest_index(labels[perm])
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_cases(), data=st.data())
+def test_a_coincident_point_takes_its_twins_row_and_label_and_moves_no_other(case, data):
+    # The copy's differences to any point are its twin's, bit for bit, and to
+    # its twin all zero; appended last, it is no cluster's lowest row.
+    coords, radii = case
+    n = coords.shape[0]
+    i = data.draw(st.integers(0, n - 1))
+    before, after = PointSet(coords), PointSet(np.vstack([coords, coords[i]]))
+    for r in radii:
+        cfg = ClusteringConfig(r)
+        bits = build_adjacency(before, cfg).bits
+        grown = build_adjacency(after, cfg).bits
+        assert np.array_equal(grown[:n, :n], bits)
+        assert np.array_equal(grown[n], [*bits[i], True])
+        assert np.array_equal(grown[:, n], grown[n])
+        labels = cluster_pointset(before, cfg)[0].labels
+        assert np.array_equal(cluster_pointset(after, cfg)[0].labels, [*labels, labels[i]])

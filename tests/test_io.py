@@ -35,7 +35,7 @@ from radclust.trajectory import (
     synthetic_motorcade,
 )
 
-from helpers import needs_dev_fd, piped
+from helpers import FIRST_BAD_FRAME_FILES, needs_dev_fd, piped
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +516,15 @@ def test_trajectory_csv_rejects_a_frame_with_other_ids(tmp_path):
         f"{path}: frame t=1.0: node ids do not match the first frame"
         " (missing ['b'], extra ['c'])"
     )
+
+
+@pytest.mark.parametrize("text, message", FIRST_BAD_FRAME_FILES)
+def test_trajectory_csv_names_the_first_frame_that_breaks_a_rule(tmp_path, text, message):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_trajectory_csv(str(path))
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_trajectory_csv_bad_header(tmp_path):

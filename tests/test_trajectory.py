@@ -104,6 +104,31 @@ def test_equal_timestamps_are_allowed():
     validate_frames(frames)  # must not raise
 
 
+def _events_of(frames):
+    return detect_events(cluster_frames(frames, ClusteringConfig(radius=2.0)), frames)
+
+
+@pytest.mark.parametrize("check", [validate_frames, _events_of], ids=["validate", "events"])
+@pytest.mark.parametrize(
+    "t, row",
+    [(0.5, [0.0, 0.0]), (2.0, [0.0, 0.0, 0.0])],
+    ids=["then-a-decreasing-timestamp", "then-a-change-of-dimension"],
+)
+def test_the_first_frame_that_breaks_any_rule_is_named(check, t, row):
+    # The ids change at t=1.0 and the next frame breaks another rule: a
+    # pass over every frame per rule named that later frame first.
+    frames = [
+        _frame(0, [[0.0, 0.0], [1.0, 0.0]], ids=["a", "b"]),
+        _frame(1, [[0.0, 0.0], [1.0, 0.0]], ids=["a", "c"]),
+        _frame(t, [row, [1.0, *row[1:]]], ids=["a", "b"]),
+    ]
+    with pytest.raises(ValueError) as err:
+        check(frames)
+    assert str(err.value) == (
+        "frame t=1.0: node ids do not match the first frame (missing ['b'], extra ['c'])"
+    )
+
+
 def test_validate_returns_each_rows_position_among_the_first_frames_ids():
     frames = [
         _frame(0, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], ids=["a", "b", "c"]),

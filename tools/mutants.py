@@ -97,6 +97,25 @@ MUTANTS = (
         "keep = np.sqrt(total) < radius + 1e-12",
         (GEOM + "test_labels_do_not_change_when_coordinates_and_r_scale_by_a_power_of_two",),
     ),
+    # Each kept pair is set both ways: one way, a cross-cell edge lies only
+    # in the row of the pair's point in the lower cell, and the hooking's
+    # labels then depend on the row order.
+    Mutant(
+        "one-way-edges",
+        "src/radclust/geometry.py",
+        "    bits[j, i] = True\n",
+        "",
+        (GEOM + "test_adjacency_and_labels_permute_with_the_rows",),
+    ),
+    # The cell itself is an offset: without it no point meets a coincident
+    # twin (or itself) in its own cell.
+    Mutant(
+        "zero-half-offset",
+        "src/radclust/geometry.py",
+        "if o >= (0,) * m",
+        "if o > (0,) * m",
+        (GEOM + "test_a_coincident_point_takes_its_twins_row_and_label_and_moves_no_other",),
+    ),
     # The safe range: nothing below 2**-500, where squares underflow.
     Mutant(
         "safe-range-wider",
@@ -319,6 +338,14 @@ MUTANTS = (
         "enumerate(sorted(first, key=_id_key))",
         "enumerate(first)",
         (DIFF + "test_events_match_brute_force_property",),
+    ),
+    # Nothing follows the hash order of string ids, which PYTHONHASHSEED sets.
+    Mutant(
+        "frames-in-hash-order",
+        "src/radclust/trajectory.py",
+        "enumerate(sorted(first, key=_id_key))",
+        "enumerate(set(first))",
+        ("tests/test_cli.py::test_outputs_do_not_depend_on_the_hash_seed[trajectory]",),
     ),
     # Events go by frame, splits before merges, then lowest member id.
     Mutant(
