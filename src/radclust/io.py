@@ -9,8 +9,10 @@ timestamp, both naming the file.  Of several faults it names a record's
 first, wherever it lies, as the record walk reads the whole file before
 any frame is built; then the first frame that breaks a rule, its ids or
 its own point set (a duplicate id, a coordinate outside the safe range).
-The trajectory writer refuses, before opening its file, frames whose
-timestamps, id sets or dimensions would not read back as written.
+The trajectory writer refuses, before opening its file, frames that
+would not read back as written, and names the first frame at fault.
+:func:`project_equirect` checks the trajectory rules through
+``validate_frames``, then its own two (two coordinates, latitudes).
 
 The id column is parsed as integers when every value in the file is an
 integer in canonical form (``7``, ``-3``; not ``07``, ``+7`` or ``-0``),
@@ -311,16 +313,18 @@ def write_trajectory_csv(frames: Sequence[Frame], path: str) -> None:
     """Write ``frames`` as a trajectory CSV that reads back frame for frame.
 
     Before ``path`` is opened, refuses what the reader would refuse, change
-    or merge: frames that break :func:`validate_frames`, ids that would not
-    read back, or equal consecutive timestamps (one run of rows).
+    or merge, in this order: a frame that breaks :func:`validate_frames`
+    before the first equal consecutive timestamps, those timestamps (one
+    run of rows), then ids that would not read back.  So the first frame
+    at fault is the one named.
     """
-    validate_frames(frames)
+    k = next((k for k in range(1, len(frames)) if frames[k].t == frames[k - 1].t), None)
+    validate_frames(frames[:k])  # the frames before the first equal timestamp, or all
+    if k is not None:
+        raise ValueError(
+            f"frame t={frames[k].t}: equal consecutive timestamps would read back as one frame"
+        )
     _check_ids_read_back(frames[0].points.ids)
-    for prev, frame in itertools.pairwise(frames):
-        if frame.t == prev.t:
-            raise ValueError(
-                f"frame t={frame.t}: equal consecutive timestamps would read back as one frame"
-            )
     rows = (
         [repr(float(frame.t)), node_id, *map(repr, row)]
         for frame in frames
@@ -334,20 +338,20 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
 
     Equirectangular approximation: good over the few kilometers a moving
     group spans; callers needing geodesic accuracy should pre-project.  A
-    latitude outside [-90, 90] is a ``ValueError`` naming its frame and
-    point.  A longitude more than 180 degrees from the first frame's first
-    point is shifted by -360 or +360 first, so a group straddling the
-    antimeridian stays together; every other longitude is used as is.
-    A frame without exactly two coordinates is a ``ValueError`` naming it.
+    longitude more than 180 degrees from the first frame's first point is
+    shifted by -360 or +360 first, so a group straddling the antimeridian
+    stays together; every other longitude is used as is.  Refused with a
+    ``ValueError`` naming the frame, in this order: frames that break
+    :func:`validate_frames` (its own message), a first frame without
+    exactly two coordinates, a latitude outside [-90, 90] (and its point),
+    and a projected point set that ``PointSet`` refuses.
     """
-    if not frames:
-        raise ValueError("a trajectory needs at least one frame")
-    for frame in frames:
-        if frame.points.dimension != 2:
-            raise ValueError(
-                f"frame t={frame.t}: equirectangular projection needs exactly 2 coordinate"
-                " columns (lat, lon)"
-            )
+    validate_frames(frames)  # then every frame has the first frame's dimension
+    if frames[0].points.dimension != 2:
+        raise ValueError(
+            f"frame t={frames[0].t}: equirectangular projection needs exactly 2 coordinate"
+            " columns (lat, lon)"
+        )
     lon_ref = frames[0].points.coords[0, 1]
 
     def longitudes(coords: np.ndarray) -> np.ndarray:
@@ -372,7 +376,10 @@ def project_equirect(frames: Sequence[Frame]) -> list[Frame]:
         lon = longitudes(frame.points.coords)
         x = EARTH_RADIUS_M * np.radians(lon - lon0) * cos_lat0
         y = EARTH_RADIUS_M * np.radians(lat - lat0)
-        points = PointSet(np.column_stack([x, y]), frame.points.ids)
+        try:
+            points = PointSet(np.column_stack([x, y]), frame.points.ids)
+        except ValueError as exc:
+            raise ValueError(f"frame t={frame.t}: {exc}") from None
         projected.append(Frame(t=frame.t, points=points))
     return projected
 

@@ -55,12 +55,12 @@ def render_points_svg(
         f'height="{height:.2f}" viewBox="0 0 {_WIDTH:.0f} {height:.2f}">',
         f'<rect width="{_WIDTH:.0f}" height="{height:.2f}" fill="white"/>',
     ]
-    for (x, y), label in zip(ps.coords, lv.labels):
-        px = (x - x0) * scale
-        py = height - (y - y0) * scale  # SVG y axis points down
+    # Python floats format faster than numpy scalars; the arithmetic is the same.
+    px = ((ps.coords[:, 0] - x0) * scale).tolist()
+    py = (height - (ps.coords[:, 1] - y0) * scale).tolist()  # SVG y axis points down
+    for x, y, label in zip(px, py, lv.labels.tolist()):
         lines.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{_MARKER_RADIUS:.0f}" '
-            f'fill="{colors[int(label)]}"/>'
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{_MARKER_RADIUS:.0f}" fill="{colors[label]}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

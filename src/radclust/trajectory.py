@@ -9,7 +9,8 @@ children splits; a child with two or more parents merges.  Geometry never
 enters event detection, only membership: links and event members are both
 read from one label matrix, its columns in id order (ints before strs).
 :func:`validate_frames` alone holds the trajectory rules and the id order;
-:func:`detect_events` and the trajectory CSV reader check through it.
+:func:`detect_events`, the trajectory CSV reader and writer, the
+equirectangular projection and the frame plots check through it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Everything here is deliberately written against different primitives than
 the library under test: hop distances come from per-source BFS, integer
 matrix products come straight from numpy, adjacency patterns are spelled
-out index-by-index, and CSV files are decoded one line and read one record
-at a time.
+out index-by-index, CSV files are decoded one line and read one record at
+a time, and SVG markers are placed and formatted one point at a time.
 """
 
 import contextlib
@@ -15,6 +15,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+
+from radclust.clustering import cluster_color_names
 
 
 def chain_bits(n):
@@ -202,6 +204,39 @@ def read_csv_by_record(path, lead):
     if not raw_ids:
         raise ValueError(f"{path}: no data rows")
     return raw_ids, np.array(block)
+
+
+def render_points_svg_by_point(ps, lv, table, bounds=None):
+    """The SVG of ``svgplot.render_points_svg``, each point formatted on its own.
+
+    Each marker's position is computed from the point's two numpy scalars
+    and formatted from them, one point at a time.
+    """
+    coords = ps.coords
+    if bounds is None:
+        (x0, y0), (x1, y1) = coords.min(axis=0), coords.max(axis=0)
+        x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
+    else:
+        x0, x1, y0, y1 = bounds
+    fallback = max(x1 - x0, y1 - y0) or 1.0
+    mx = 0.05 * ((x1 - x0) if x1 > x0 else fallback)
+    my = 0.05 * ((y1 - y0) if y1 > y0 else fallback)
+    x0, x1, y0, y1 = x0 - mx, x1 + mx, y0 - my, y1 + my
+    scale = 640.0 / (x1 - x0)
+    height = (y1 - y0) * scale
+    colors = cluster_color_names(table)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+        f'height="{height:.2f}" viewBox="0 0 640 {height:.2f}">',
+        f'<rect width="640" height="{height:.2f}" fill="white"/>',
+    ]
+    for (x, y), label in zip(coords, lv.labels):
+        px = (x - x0) * scale
+        py = height - (y - y0) * scale
+        lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" fill="{colors[int(label)]}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")

@@ -873,6 +873,29 @@ def test_trajectory_equirect_refuses_latitudes_beyond_the_poles(tmp_path, capsys
     assert not out.exists() and not events.exists()
 
 
+def test_trajectory_equirect_names_the_frame_of_a_projected_point_outside_the_safe_range(
+    tmp_path, capsys
+):
+    # Latitudes an ulp apart at 1e-150 degrees are about 1.5e-161 m from
+    # their centroid once projected, below the safe magnitude range.
+    inp = tmp_path / "geo.csv"
+    inp.write_text(
+        "t,id,lat,lon\n"
+        "0,a,1e-150,10\n0,b,1.0000000000000002e-150,10\n"
+        "1,a,1e-150,10\n1,b,1.0000000000000002e-150,10\n"
+    )
+    out = tmp_path / "f.json"
+    code = main(
+        ["trajectory", "--input", str(inp), "--radius", "1", "--out", str(out),
+         "--project", "equirect"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame t=0.0: point 'a': coordinate ")
+    assert "is outside the safe magnitude range" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

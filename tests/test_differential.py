@@ -5,13 +5,15 @@ unchunked broadcast distance expression over all pairs for the grid
 adjacency, ``m`` plain squarings for the power, the paper's mask scan of
 the power plus the BFS oracle for the component labels, the
 intersection of every cluster pair for the split/merge events,
-``json.dumps(indent=2)`` for the JSON writer, and a record-by-record reader
-that decodes each physical line on its own for the CSV reader.
+``json.dumps(indent=2)`` for the JSON writer, a record-by-record reader
+that decodes each physical line on its own for the CSV reader, and a
+point-by-point loop for the SVG markers.
 """
 
 import csv
 import fractions
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 import radclust.clustering as clustering
 import radclust.geometry as geometry
 import radclust.matpower as matpower
-from radclust.clustering import cluster_labels
+from radclust.clustering import cluster_labels, cluster_pointset
 from radclust.io import _read_csv, _read_plain, write_json
 from radclust.geometry import BinaryMatrix, ClusteringConfig, PointSet, build_adjacency
 from radclust.matpower import (
@@ -32,9 +34,10 @@ from radclust.matpower import (
     mask_labels,
     power_fast,
 )
+from radclust.svgplot import render_points_svg
 from radclust.trajectory import ClusterEvent, Frame, cluster_frames, detect_events
 
-from helpers import chain_bits, random_adjacency, read_csv_by_record
+from helpers import chain_bits, random_adjacency, read_csv_by_record, render_points_svg_by_point
 
 
 def all_pair_distances(coords):
@@ -869,3 +872,46 @@ def test_csv_reader_matches_record_by_record_reader_on_plain_files_property(
     path = tmp_path_factory.getbasetemp() / "plain.csv"
     path.write_bytes(raw)
     _assert_reads_as_by_record(path, lead)
+
+
+# ---------------------------------------------------------------------------
+# SVG markers against a point-by-point loop
+# ---------------------------------------------------------------------------
+
+# Coordinates in the safe range: zero, or at least 1e-100 in magnitude.
+_svg_coords = st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_svg_coords, _svg_coords), min_size=1, max_size=40),
+    shape=st.sampled_from(["as drawn", "coincident", "same y", "same x", "negated"]),
+    k=st.integers(-40, 40),
+    radius=st.floats(0.5, 100.0),
+    shared=st.none() | st.tuples(_svg_coords, _svg_coords),
+)
+def test_points_svg_matches_per_point_loop_property(rows, shape, k, radius, shared):
+    coords = np.array(rows, dtype=float)
+    if shape == "coincident":
+        coords[:] = coords[0]
+    elif shape == "same y":  # collinear: a degenerate y span
+        coords[:, 1] = coords[0, 1]
+    elif shape == "same x":
+        coords[:, 0] = coords[0, 0]
+    elif shape == "negated":
+        coords = -np.abs(coords)
+    coords = np.ldexp(coords, k)  # exact: every value stays in the safe range
+    ps = PointSet(coords)
+    lv, table = cluster_pointset(ps, ClusteringConfig(radius=math.ldexp(radius, k)))
+    bounds = None
+    if shared is not None:  # a viewport that also holds a point not drawn, as frames share one
+        both = np.vstack([coords, np.ldexp(np.array([shared]), k)])
+        lo, hi = both.min(axis=0), both.max(axis=0)
+        bounds = (float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
+    outcomes = []
+    for render in (render_points_svg, render_points_svg_by_point):
+        try:
+            outcomes.append(render(ps, lv, table, bounds))
+        except ZeroDivisionError as exc:  # a span below an ulp of the coordinates, in both
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]

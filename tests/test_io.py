@@ -33,6 +33,7 @@ from radclust.trajectory import (
     cluster_frames,
     detect_events,
     synthetic_motorcade,
+    validate_frames,
 )
 
 from helpers import FIRST_BAD_FRAME_FILES, needs_dev_fd, piped
@@ -363,6 +364,19 @@ def test_trajectory_csv_writer_refuses_frames_that_would_not_read_back(
     assert not path.exists()
 
 
+def test_trajectory_csv_writer_names_equal_timestamps_before_a_later_frame(tmp_path):
+    # t=0.0 is repeated before the ids change at t=1.0: the earlier frame is named.
+    frames = [
+        _frame(0.0, [[0.0, 0.0], [1.0, 0.0]], ids=["a", "b"]),
+        _frame(0.0, [[0.0, 0.0], [1.0, 0.0]], ids=["a", "b"]),
+        _frame(1.0, [[0.0, 0.0], [1.0, 0.0]], ids=["a", "c"]),
+    ]
+    path = tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=r"^frame t=0\.0: equal consecutive timestamps"):
+        write_trajectory_csv(frames, str(path))
+    assert not path.exists()
+
+
 def test_trajectory_csv_groups_consecutive_rows(tmp_path):
     path = tmp_path / "traj.csv"
     path.write_text(
@@ -653,13 +667,47 @@ def test_equirect_requires_two_columns():
         project_equirect([frame])
     # Every frame is checked, not only the first.
     frames = [Frame(t=0.0, points=PointSet([(1.0, 2.0)])), Frame(t=1.5, points=frame.points)]
-    with pytest.raises(ValueError, match=r"frame t=1\.5: .*2 coordinate columns \(lat, lon\)"):
+    with pytest.raises(ValueError, match=r"frame t=1\.5: 3 coordinates, the first frame has 2"):
         project_equirect(frames)
 
 
 def test_equirect_refuses_no_frames():
     with pytest.raises(ValueError, match="at least one frame"):
         project_equirect([])
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        (
+            [_frame(0.0, [[1.0, 2.0], [1.0, 2.1]], ids=["a", "b"]),
+             _frame(1.0, [[1.0, 2.0], [1.0, 2.1]], ids=["a", "c"])],
+            r"^frame t=1\.0: node ids do not match the first frame"
+            r" \(missing \['b'\], extra \['c'\]\)$",
+        ),
+        (
+            [_frame(1.0, [[1.0, 2.0]]), _frame(0.0, [[1.0, 2.0]])],
+            r"^frame t=0\.0: timestamps must be non-decreasing$",
+        ),
+    ],
+    ids=["changed-ids", "decreasing-t"],
+)
+def test_equirect_refuses_what_validate_frames_refuses(frames, message):
+    with pytest.raises(ValueError, match=message):
+        validate_frames(frames)
+    with pytest.raises(ValueError, match=message):
+        project_equirect(frames)
+
+
+def test_equirect_names_the_frame_of_a_projected_point_set_fault():
+    # Latitudes an ulp apart at 1e-150 project to about 1.5e-161 m from
+    # their centroid, below the safe range.
+    rows = [[1e-150, 10.0], [1.0000000000000002e-150, 10.0]]
+    frames = [_frame(0.0, rows, ids=["a", "b"]), _frame(1.0, rows, ids=["a", "b"])]
+    with pytest.raises(
+        ValueError, match=r"^frame t=0\.0: point 'a': coordinate \S+ is outside the safe"
+    ):
+        project_equirect(frames)
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,7 @@ MUTANTS = (
         "src/radclust/trajectory.py",
         "if prev is not None and frame.t < prev.t:",
         "if prev is not None and frame.t <= prev.t:",
-        ("tests/test_trajectory.py::test_equal_timestamps_are_allowed",
-         "tests/test_io.py::test_trajectory_csv_writer_refuses_frames_that_would_not_read_back"),
+        ("tests/test_trajectory.py::test_equal_timestamps_are_allowed",),
     ),
     Mutant(
         "reader-timestamp-order",
@@ -397,6 +396,34 @@ MUTANTS = (
         "if path]",
         ("tests/test_cli.py::test_cluster_malformed_input_keeps_an_existing_out_file",
          "tests/test_cli.py::test_trajectory_out_of_memory_keeps_existing_outputs"),
+    ),
+    # The trajectory writer names the first frame at fault: frames after the
+    # first equal timestamps are not checked ahead of them.
+    Mutant(
+        "writer-frame-order",
+        "src/radclust/io.py",
+        "validate_frames(frames[:k])",
+        "validate_frames(frames)",
+        ("tests/test_io.py::"
+         "test_trajectory_csv_writer_names_equal_timestamps_before_a_later_frame",),
+    ),
+    # project_equirect checks the trajectory rules through validate_frames.
+    Mutant(
+        "equirect-trajectory-rules",
+        "src/radclust/io.py",
+        "    validate_frames(frames)  # then every frame has the first frame's dimension\n",
+        "",
+        ("tests/test_io.py::test_equirect_refuses_what_validate_frames_refuses",),
+    ),
+    # Every refusal of project_equirect names its frame.
+    Mutant(
+        "equirect-frame-prefix",
+        "src/radclust/io.py",
+        'raise ValueError(f"frame t={frame.t}: {exc}") from None',
+        "raise",
+        ("tests/test_io.py::test_equirect_names_the_frame_of_a_projected_point_set_fault",
+         "tests/test_cli.py::"
+         "test_trajectory_equirect_names_the_frame_of_a_projected_point_outside_the_safe_range"),
     ),
     # Equirectangular longitudes exactly 180 degrees away are not shifted.
     Mutant(
