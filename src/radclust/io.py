@@ -12,7 +12,8 @@ its own point set (a duplicate id, a coordinate outside the safe range).
 The trajectory writer refuses, before opening its file, frames that
 would not read back as written, and names the first frame at fault.
 :func:`project_equirect` checks the trajectory rules through
-``validate_frames``, then its own two (two coordinates, latitudes).
+``validate_frames``, then its own two (two coordinates, latitudes), and
+:func:`frames_payload` checks the frames with their clusterings through it.
 
 The id column is parsed as integers when every value in the file is an
 integer in canonical form (``7``, ``-3``; not ``07``, ``+7`` or ``-0``),
@@ -407,6 +408,12 @@ def frames_payload(
     frames: Sequence[Frame],
     results: Sequence[tuple[LabelVector, ClusterTable]],
 ) -> dict:
+    """The frames JSON document: each frame's ids, labels and ranked clusters.
+
+    ``ValueError`` is :func:`validate_frames`' refusal of ``frames`` with
+    ``results`` (a length mismatch first), before anything is built.
+    """
+    validate_frames(frames, results)
     per_frame = [
         {
             "t": float(frame.t),
@@ -414,7 +421,7 @@ def frames_payload(
             "labels": lv.labels.tolist(),
             "clusters": _cluster_records(table),
         }
-        for frame, (lv, table) in zip(frames, results, strict=True)
+        for frame, (lv, table) in zip(frames, results)
     ]
     return {"radius": float(radius), "n_frames": len(per_frame), "frames": per_frame}
 

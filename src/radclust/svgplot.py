@@ -4,7 +4,9 @@ Plots are written with fixed number formatting and no timestamps or generated
 ids, so identical inputs produce byte-identical files.  The viewport comes
 from the data bounding box with a 5% margin per side; markers are filled
 circles of fixed radius, colored by cluster rank (rank 1 red, rank 2 green,
-rank 3 blue, then a fixed palette).
+rank 3 blue, then a fixed palette).  Each plot's labels must match its
+points: the frame plots check their frames with their clusterings through
+:func:`~radclust.trajectory.validate_frames`, a single plot its label count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ __all__ = ["render_points_svg", "render_frames_svg", "frame_svg_paths"]
 
 _WIDTH = 640.0
 _MARKER_RADIUS = 4.0
+# Where 5% margins would leave an axis with no span, both margins are this
+# many times the larger of the spans and the ulp of the largest coordinate.
+_WIDEN = 8.0
 
 
 def _bounds(coords: np.ndarray) -> tuple[float, float, float, float]:
@@ -36,15 +41,24 @@ def render_points_svg(
     table: ClusterTable,
     bounds: tuple[float, float, float, float] | None = None,
 ) -> str:
-    """Render one clustered point set as an SVG document string."""
+    """Render one clustered point set as an SVG document string.
+
+    ``ValueError`` refuses points that are not 2-d, then a label count that
+    is not the point count (``N labels for M points``).
+    """
     if ps.dimension != 2:
         raise ValueError(f"SVG plots require 2-d points, got d={ps.dimension}")
+    if len(lv) != len(ps):
+        raise ValueError(f"{len(lv)} labels for {len(ps)} points")
     x0, x1, y0, y1 = bounds if bounds is not None else _bounds(ps.coords)
     # Degenerate axes (collinear data) borrow the other axis's span so the
     # viewport never collapses to a sliver.
     fallback = max(x1 - x0, y1 - y0) or 1.0
     mx = 0.05 * ((x1 - x0) if x1 > x0 else fallback)
     my = 0.05 * ((y1 - y0) if y1 > y0 else fallback)
+    if x0 - mx == x1 + mx or y0 - my == y1 + my:  # margins below an ulp
+        ulp = float(np.spacing(max(abs(x0), abs(x1), abs(y0), abs(y1))))
+        mx = my = _WIDEN * max(fallback, ulp)
     x0, x1, y0, y1 = x0 - mx, x1 + mx, y0 - my, y1 + my
     scale = _WIDTH / (x1 - x0)
     height = (y1 - y0) * scale
@@ -83,12 +97,11 @@ def render_frames_svg(
 ) -> list[str]:
     """Write one SVG per frame into ``out_dir``, sharing a global viewport.
 
-    Returns the written paths, those of ``frame_svg_paths``.  Frames that
-    break :func:`validate_frames` are refused before ``out_dir`` is made.
+    Returns the written paths, those of ``frame_svg_paths``.  Before
+    ``out_dir`` is made, ``ValueError`` is :func:`validate_frames`' refusal
+    of ``frames`` with ``results`` (a length mismatch first).
     """
-    if len(frames) != len(results):
-        raise ValueError("results and frames must have equal length")
-    validate_frames(frames)
+    validate_frames(frames, results)
     all_coords = np.vstack([frame.points.coords for frame in frames])
     bounds = _bounds(all_coords)
     os.makedirs(out_dir, exist_ok=True)

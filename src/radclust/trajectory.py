@@ -8,9 +8,11 @@ pair, parent, child) triples of the nodes.  A parent with two or more
 children splits; a child with two or more parents merges.  Geometry never
 enters event detection, only membership: links and event members are both
 read from one label matrix, its columns in id order (ints before strs).
-:func:`validate_frames` alone holds the trajectory rules and the id order;
-:func:`detect_events`, the trajectory CSV reader and writer, the
-equirectangular projection and the frame plots check through it.
+:func:`validate_frames` alone holds the trajectory rules, the id order and
+the rule that each frame's clustering matches its points; the trajectory CSV
+reader and writer and the equirectangular projection check the frames
+through it, and :func:`detect_events`, the frames document and the frame
+plots check the frames with their clusterings.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ def _id_key(node_id: NodeId) -> tuple[bool, NodeId]:
     return isinstance(node_id, str), node_id
 
 
-def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
+def validate_frames(
+    frames: Sequence[Frame],
+    results: Sequence[tuple[LabelVector, ClusterTable]] | None = None,
+) -> list[np.ndarray]:
     """Check the trajectory rules and number every frame's rows in id order.
 
     A trajectory has at least one frame, finite non-decreasing timestamps,
@@ -74,7 +79,12 @@ def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
     among the first frame's ids in id order (ints before strs); frames whose
     ids equal the first frame's share one read-only array.  Each frame is
     checked once, in order: ``ValueError`` names the first that breaks a rule.
+    With ``results``, the frames' clusterings, a length other than the
+    frames' is refused first, and after the trajectory rules the first frame
+    whose label count is not its point count.
     """
+    if results is not None and len(results) != len(frames):
+        raise ValueError("results and frames must have equal length")
     if not frames:
         raise ValueError("a trajectory needs at least one frame")
     d = frames[0].points.dimension
@@ -105,6 +115,9 @@ def validate_frames(frames: Sequence[Frame]) -> list[np.ndarray]:
                 f" (missing {missing}, extra {extra})"
             )
         positions.append(np.array(pos, dtype=np.intp))
+    for frame, (lv, _), pos in zip(frames, results or (), positions):
+        if lv.labels.size != pos.size:
+            raise ValueError(f"frame t={frame.t}: {lv.labels.size} labels for {pos.size} points")
     return positions
 
 
@@ -124,15 +137,11 @@ def detect_events(
     The links (module docstring) and each event's members come from one
     F x n label matrix, its columns the ids in :func:`validate_frames`'s id
     order.  Events go by frame, splits before merges, then lowest member id.
-    ``ValueError`` names the first frame that breaks a trajectory rule, each
-    checked once and in order, else the first whose label count is not its point count.
+    ``ValueError`` is :func:`validate_frames`' refusal of the frames with
+    ``results``: a length mismatch first, then the first frame that breaks a
+    trajectory rule, then the first whose label count is not its point count.
     """
-    if len(results) != len(frames):
-        raise ValueError("results and frames must have equal length")
-    positions = validate_frames(frames)
-    for frame, (lv, _), pos in zip(frames, results, positions):
-        if lv.labels.size != pos.size:
-            raise ValueError(f"frame t={frame.t}: {lv.labels.size} labels for {pos.size} points")
+    positions = validate_frames(frames, results)
     aligned = np.empty((len(frames), positions[0].size), dtype=np.int64)
     aligned[np.arange(len(frames))[:, None], positions] = [lv.labels for lv, _ in results]
     ids = np.array(frames[0].points.ids, dtype=object)[np.argsort(positions[0])]

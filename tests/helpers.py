@@ -210,7 +210,9 @@ def render_points_svg_by_point(ps, lv, table, bounds=None):
     """The SVG of ``svgplot.render_points_svg``, each point formatted on its own.
 
     Each marker's position is computed from the point's two numpy scalars
-    and formatted from them, one point at a time.
+    and formatted from them, one point at a time.  The margins are the 5%
+    ones alone: where they leave an axis with no span, this divides by zero
+    or writes a zero height, and the renderer widens them instead.
     """
     coords = ps.coords
     if bounds is None:

@@ -93,6 +93,24 @@ def test_cluster_writes_svg(tmp_path):
     assert text.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "a,1.0,0.0\nb,1.0,1.1754943508222875e-38\n",  # no x span, a y span below an ulp of x
+        "a,0.0,1.0\nb,1.1754943508222875e-38,1.0\n",  # the same, transposed
+    ],
+    ids=["no-width", "no-height"],
+)
+def test_cluster_svg_viewport_survives_a_span_below_an_ulp(tmp_path, rows):
+    inp = tmp_path / "tiny.csv"
+    inp.write_text("id,x,y\n" + rows, encoding="utf-8")
+    out, svg = str(tmp_path / "labels.json"), str(tmp_path / "plot.svg")
+    assert main(["cluster", "--input", str(inp), "--radius", "1", "--out", out, "--svg", svg]) == 0
+    view = _read_bytes(svg).decode("utf-8").split('viewBox="', 1)[1].split('"', 1)[0]
+    _, _, width, height = map(float, view.split())
+    assert 0.0 < width < math.inf and 0.0 < height < math.inf, view
+
+
 def test_cluster_dense_core_rank_one_holds_core_rows(tmp_path):
     gen_out = str(tmp_path / "scene.csv")
     assert (

@@ -747,8 +747,23 @@ def test_frames_payload_structure():
 def test_frames_payload_refuses_fewer_results_than_frames():
     frames = synthetic_motorcade()[:2]
     results = cluster_frames(frames[:1], ClusteringConfig(radius=15.0))
-    with pytest.raises(ValueError, match="zip"):
+    with pytest.raises(ValueError, match="results and frames must have equal length"):
         frames_payload(15.0, frames, results)
+
+
+def test_frames_payload_refuses_a_label_count_unlike_the_point_count():
+    cfg = ClusteringConfig(radius=2.0)
+    frames = [Frame(0.0, PointSet([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]))]
+    results = [cluster_pointset(PointSet([[0.0, 0.0], [1.0, 0.0]]), cfg)]
+    with pytest.raises(ValueError, match=r"^frame t=0\.0: 2 labels for 3 points$"):
+        frames_payload(2.0, frames, results)
+
+
+def test_frames_payload_refuses_a_decreasing_timestamp():
+    frames = [Frame(1.0, PointSet([[0.0, 0.0]])), Frame(0.0, PointSet([[1.0, 0.0]]))]
+    results = cluster_frames(frames, ClusteringConfig(radius=2.0))
+    with pytest.raises(ValueError, match=r"^frame t=0\.0: timestamps must be non-decreasing$"):
+        frames_payload(2.0, frames, results)
 
 
 def test_events_payload_records():

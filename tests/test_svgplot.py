@@ -98,3 +98,20 @@ def test_frame_svgs_refuse_a_change_of_dimension_before_writing(tmp_path):
     with pytest.raises(ValueError, match=r"^frame t=1\.0: 3 coordinates, the first frame has 2$"):
         render_frames_svg(frames, results, str(out))
     assert not out.exists()
+
+
+def test_svg_refuses_fewer_labels_than_points():
+    ps = PointSet([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+    lv, table = cluster_pointset(PointSet([[0.0, 0.0], [1.0, 0.0]]), ClusteringConfig(radius=2.0))
+    with pytest.raises(ValueError, match=r"^2 labels for 3 points$"):
+        render_points_svg(ps, lv, table)
+
+
+def test_frame_svgs_refuse_fewer_labels_than_points_before_writing(tmp_path):
+    cfg = ClusteringConfig(radius=2.0)
+    frames = [Frame(0.0, PointSet([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]))]
+    results = [cluster_pointset(PointSet([[0.0, 0.0], [1.0, 0.0]]), cfg)]
+    out = tmp_path / "plots"
+    with pytest.raises(ValueError, match=r"^frame t=0\.0: 2 labels for 3 points$"):
+        render_frames_svg(frames, results, str(out))
+    assert not out.exists()

@@ -425,6 +425,46 @@ MUTANTS = (
          "tests/test_cli.py::"
          "test_trajectory_equirect_names_the_frame_of_a_projected_point_outside_the_safe_range"),
     ),
+    # validate_frames owns the rule that results match their frames: one
+    # result per frame, refused first ...
+    Mutant(
+        "results-length",
+        "src/radclust/trajectory.py",
+        "    if results is not None and len(results) != len(frames):\n"
+        '        raise ValueError("results and frames must have equal length")\n',
+        "",
+        ("tests/test_io.py::test_frames_payload_refuses_fewer_results_than_frames",
+         "tests/test_svgplot.py::test_frame_svgs_require_matching_lengths"),
+    ),
+    # ... and, after the trajectory rules, one label per point in each frame.
+    Mutant(
+        "results-label-count",
+        "src/radclust/trajectory.py",
+        "if lv.labels.size != pos.size:",
+        "if False:",
+        ("tests/test_io.py::test_frames_payload_refuses_a_label_count_unlike_the_point_count",
+         "tests/test_svgplot.py::test_frame_svgs_refuse_fewer_labels_than_points_before_writing",
+         "tests/test_trajectory.py::test_detect_events_rejects_a_label_count_unlike_the_point_count"),
+    ),
+    # A single plot draws one marker per point, and no fewer.
+    Mutant(
+        "svg-label-count",
+        "src/radclust/svgplot.py",
+        "    if len(lv) != len(ps):\n"
+        '        raise ValueError(f"{len(lv)} labels for {len(ps)} points")\n',
+        "",
+        ("tests/test_svgplot.py::test_svg_refuses_fewer_labels_than_points",),
+    ),
+    # A viewport whose 5% margins would leave an axis with no span widens.
+    Mutant(
+        "svg-viewport-collapse",
+        "src/radclust/svgplot.py",
+        "if x0 - mx == x1 + mx or y0 - my == y1 + my:",
+        "if False:",
+        ("tests/test_cli.py::test_cluster_svg_viewport_survives_a_span_below_an_ulp[no-width]",
+         "tests/test_cli.py::test_cluster_svg_viewport_survives_a_span_below_an_ulp[no-height]",
+         DIFF + "test_points_svg_matches_per_point_loop_property"),
+    ),
     # Equirectangular longitudes exactly 180 degrees away are not shifted.
     Mutant(
         "equirect-east",
