@@ -2,7 +2,11 @@
 
 Plots are written with fixed number formatting and no timestamps or generated
 ids, so identical inputs produce byte-identical files.  The viewport comes
-from the data bounding box with a 5% margin per side; markers are filled
+from the data bounding box with a 5% margin per side.  An axis whose span is
+at most 1/64 of the longer span borrows its margins from the longer span,
+and the longer span is taken as at least 160 ulps of the largest coordinate
+magnitude, so the page height lies between 10 and 640 * 64 pixels and every
+marker lands inside it, at any coordinate scale.  Markers are filled
 circles of fixed radius, colored by cluster rank (rank 1 red, rank 2 green,
 rank 3 blue, then a fixed palette).  Each plot's labels must match its
 points: the frame plots check their frames with their clusterings through
@@ -24,9 +28,8 @@ __all__ = ["render_points_svg", "render_frames_svg", "frame_svg_paths"]
 
 _WIDTH = 640.0
 _MARKER_RADIUS = 4.0
-# Where 5% margins would leave an axis with no span, both margins are this
-# many times the larger of the spans and the ulp of the largest coordinate.
-_WIDEN = 8.0
+_THIN = 64.0  # a span at most 1/_THIN of the longer one borrows its margins
+_ULPS = 160.0  # the longer span is at least this many ulps of the coordinates
 
 
 def _bounds(coords: np.ndarray) -> tuple[float, float, float, float]:
@@ -51,14 +54,14 @@ def render_points_svg(
     if len(lv) != len(ps):
         raise ValueError(f"{len(lv)} labels for {len(ps)} points")
     x0, x1, y0, y1 = bounds if bounds is not None else _bounds(ps.coords)
-    # Degenerate axes (collinear data) borrow the other axis's span so the
-    # viewport never collapses to a sliver.
-    fallback = max(x1 - x0, y1 - y0) or 1.0
-    mx = 0.05 * ((x1 - x0) if x1 > x0 else fallback)
-    my = 0.05 * ((y1 - y0) if y1 > y0 else fallback)
-    if x0 - mx == x1 + mx or y0 - my == y1 + my:  # margins below an ulp
-        ulp = float(np.spacing(max(abs(x0), abs(x1), abs(y0), abs(y1))))
-        mx = my = _WIDEN * max(fallback, ulp)
+    # 5% margins per side.  An axis whose span is at most 1/64 of the longer
+    # span (zero included) borrows its margins from the longer span, which is
+    # 1 where both are 0 and at least 160 ulps of the largest coordinate
+    # magnitude: no margin falls below 8 ulps, and the height lies within
+    # [10, 640 * 64] with every marker inside.
+    ulp = float(np.spacing(max(abs(x0), abs(x1), abs(y0), abs(y1))))
+    span = max(max(x1 - x0, y1 - y0) or 1.0, _ULPS * ulp)
+    mx, my = (0.05 * (s if s * _THIN > span else span) for s in (x1 - x0, y1 - y0))
     x0, x1, y0, y1 = x0 - mx, x1 + mx, y0 - my, y1 + my
     scale = _WIDTH / (x1 - x0)
     height = (y1 - y0) * scale

@@ -211,8 +211,9 @@ def render_points_svg_by_point(ps, lv, table, bounds=None):
 
     Each marker's position is computed from the point's two numpy scalars
     and formatted from them, one point at a time.  The margins are the 5%
-    ones alone: where they leave an axis with no span, this divides by zero
-    or writes a zero height, and the renderer widens them instead.
+    ones alone, a zero span borrowing the longer one: the renderer's differ
+    where a nonzero span is at most 1/64 of the other, or where the longer
+    span is below 160 ulps of the largest coordinate magnitude.
     """
     coords = ps.coords
     if bounds is None:

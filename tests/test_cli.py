@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -109,6 +110,38 @@ def test_cluster_svg_viewport_survives_a_span_below_an_ulp(tmp_path, rows):
     view = _read_bytes(svg).decode("utf-8").split('viewBox="', 1)[1].split('"', 1)[0]
     _, _, width, height = map(float, view.split())
     assert 0.0 < width < math.inf and 0.0 < height < math.inf, view
+
+
+# Two points whose spans differ by far more than 64:1: a y span beyond the
+# float range once scaled (tall), a 2**1000 aspect (digits), a y span far
+# below the x span (sliver, thin) and an x span of one ulp (near).
+_THIN_AXIS_ROWS = {
+    "tall": [(2.0**-500, -(2.0**500)), (2.0**-500 + 2.0**-550, 2.0**500)],
+    "digits": [(2.0**-500, 0.0), (2.0**-499, 2.0**500)],
+    "sliver": [(0.0, 0.0), (100.0, 1e-10)],
+    "near": [(1.0, 0.0), (1.0000000000000002, 1.0)],
+    "thin": [(0.0, 0.0), (100.0, 0.5)],
+}
+
+
+@pytest.mark.parametrize("rows", list(_THIN_AXIS_ROWS.values()), ids=list(_THIN_AXIS_ROWS))
+def test_cluster_svg_keeps_a_thin_axis_in_view(tmp_path, rows):
+    inp = tmp_path / "two.csv"
+    inp.write_text(
+        "id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(rows)),
+        encoding="utf-8",
+    )
+    out, svg = str(tmp_path / "labels.json"), str(tmp_path / "plot.svg")
+    assert main(["cluster", "--input", str(inp), "--radius", "1", "--out", out, "--svg", svg]) == 0
+    text = _read_bytes(svg).decode("utf-8")
+    view = text.split('viewBox="', 1)[1].split('"', 1)[0]
+    assert view.startswith("0 0 640 "), view
+    height = float(view.split()[3])
+    assert 10.0 <= height <= 40960.0, view
+    markers = re.findall(r'cx="([^"]*)" cy="([^"]*)"', text)
+    assert len(markers) == 2
+    for cx, cy in markers:
+        assert 0.0 <= float(cx) <= 640.0 and 0.0 <= float(cy) <= height, (cx, cy, view)
 
 
 def test_cluster_dense_core_rank_one_holds_core_rows(tmp_path):

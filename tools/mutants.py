@@ -455,15 +455,25 @@ MUTANTS = (
         "",
         ("tests/test_svgplot.py::test_svg_refuses_fewer_labels_than_points",),
     ),
-    # A viewport whose 5% margins would leave an axis with no span widens.
+    # The longer span is at least 160 ulps of the largest coordinate, so a
+    # borrowed margin never falls below an ulp ...
     Mutant(
-        "svg-viewport-collapse",
+        "svg-ulp-floor",
         "src/radclust/svgplot.py",
-        "if x0 - mx == x1 + mx or y0 - my == y1 + my:",
-        "if False:",
+        "span = max(max(x1 - x0, y1 - y0) or 1.0, _ULPS * ulp)",
+        "span = max(x1 - x0, y1 - y0) or 1.0",
         ("tests/test_cli.py::test_cluster_svg_viewport_survives_a_span_below_an_ulp[no-width]",
-         "tests/test_cli.py::test_cluster_svg_viewport_survives_a_span_below_an_ulp[no-height]",
-         DIFF + "test_points_svg_matches_per_point_loop_property"),
+         "tests/test_cli.py::test_cluster_svg_viewport_survives_a_span_below_an_ulp[no-height]"),
+    ),
+    # ... and a span at most 1/64 of the longer borrows its margins from it.
+    Mutant(
+        "svg-aspect-floor",
+        "src/radclust/svgplot.py",
+        "s if s * _THIN > span else span",
+        "s if s > 0 else span",
+        ("tests/test_cli.py::test_cluster_svg_keeps_a_thin_axis_in_view[tall]",
+         "tests/test_cli.py::test_cluster_svg_keeps_a_thin_axis_in_view[sliver]",
+         "tests/test_cli.py::test_cluster_svg_keeps_a_thin_axis_in_view[thin]"),
     ),
     # Equirectangular longitudes exactly 180 degrees away are not shifted.
     Mutant(
